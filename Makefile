@@ -10,7 +10,7 @@ GO ?= go
 GOFMT ?= gofmt
 BENCH_COUNT ?= 5
 
-.PHONY: build test vet race lint bench benchdiff telemetry-overhead verify verify-stream chaos load load-smoke cluster-smoke gateway-smoke fuzz-smoke scenario scenarios
+.PHONY: build test vet race lint perfbench-unit bench benchdiff telemetry-overhead verify verify-stream chaos load load-smoke cluster-smoke gateway-smoke fuzz-smoke scenario scenarios
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,12 @@ lint:
 	$(GO) vet -tags chaos .
 
 verify: build vet lint test race
+
+# perfbench-unit vets and unit-tests the benchmark harness (perfbench/ is a
+# separate Go module, so the root `go test ./...` never reaches its
+# percentile, lateness and fail_frac tests).
+perfbench-unit:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # verify-stream hammers the race-sensitive streaming paths (subscriptions,
 # long-poll serving, rollups, alerts) repeatedly under the race detector,

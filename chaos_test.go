@@ -117,7 +117,7 @@ func runChaosStorm(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableSpill(chaosIters)
+		c.EnableBatch(core.BatchConfig{MaxLeaves: 1, SpillCapacity: chaosIters})
 		clients[w] = c
 		defer c.Close()
 	}

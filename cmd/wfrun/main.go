@@ -48,7 +48,7 @@ func main() {
 		log.Fatalf("wfrun: %v", err)
 	}
 	defer client.Close()
-	client.EnableAsync(256)
+	client.EnableBatch(core.BatchConfig{})
 
 	// Pilot over a Summit-shaped allocation, wall-clock execution.
 	batch := platform.NewBatchSystem(platform.NewCluster(*nodes, platform.Summit()))
@@ -103,6 +103,11 @@ func main() {
 	}
 	tm.WaitAll()
 	stopRP() // final collection
+	// Publishes are batched: flush the final collection before reading it
+	// back, or the printed final state can miss the last summary.
+	if err := client.Flush(); err != nil {
+		log.Fatalf("wfrun: flush: %v", err)
+	}
 	fmt.Printf("workflow of %d tasks finished in %v\n\n", len(submitted), time.Since(start).Round(time.Millisecond))
 
 	// Everything below is read back *through SOMA*, not from the runtime.

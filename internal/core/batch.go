@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,9 +22,9 @@ import (
 //
 // Ordering: entries leave in append order. flush swaps the pending buffer
 // under sendMu, so appends never wait on the wire, while batch N+1 cannot
-// overtake batch N. When entries spill (transient failure), subsequent
-// batches route into the spill buffer behind them until redelivery drains
-// it, preserving per-client publish order end to end.
+// overtake batch N. When a batch spills (see spill.go), later batches queue
+// behind it until redelivery drains the queue, preserving per-client
+// publish order end to end.
 
 var (
 	telBatchFlushes = telemetry.Default().Counter("core.client.batch.flushes")
@@ -43,6 +43,10 @@ var (
 	// to flush inline and retry — publishers outrunning the wire.
 	telBatchBackpressure = telemetry.Default().Counter("core.client.batch.backpressure")
 )
+
+// errPublishAfterClose rejects batched publishes once Close has stopped the
+// coalescer.
+var errPublishAfterClose = fmt.Errorf("soma: publish after Close: %w", mercury.ErrClosed)
 
 // Flush causes, attributed per shipped batch (see flushFor).
 const (
@@ -72,6 +76,12 @@ type BatchConfig struct {
 	// trip) when there is headroom. The bound stays clamped to
 	// [100µs, 5ms] regardless of target. Zero keeps the fixed MaxAge.
 	TargetLatency time.Duration
+	// SpillCapacity turns on graceful degradation (see spill.go): a batch
+	// that fails with a transient transport error, or that the server shed
+	// unexecuted as expired, is kept on an ordered redelivery queue of up to
+	// this many publishes and retried until the service heals, instead of
+	// failing Flush. Zero disables spilling.
+	SpillCapacity int
 }
 
 func (cfg *BatchConfig) defaults() {
@@ -87,8 +97,8 @@ func (cfg *BatchConfig) defaults() {
 }
 
 // batchOverfill bounds how far past the flush thresholds the pending buffer
-// may grow while a flush is in flight before appends start failing —
-// the coalescer's equivalent of "async publish queue full".
+// may grow while a flush is in flight before appends apply backpressure
+// (flush inline, then retry).
 const batchOverfill = 4
 
 // Adaptive age clamp (see BatchConfig.TargetLatency): the bound never drops
@@ -99,52 +109,32 @@ const (
 	maxAdaptiveAge = 5 * time.Millisecond
 )
 
-// batchRef remembers one coalesced publish alongside its encoded bytes, so
-// a failed flush can fall back to per-entry delivery or the spill buffer.
-// Exactly one of node (Publish) and enc (PublishEncoded) is set.
-type batchRef struct {
-	ns   Namespace
-	node *conduit.Node
-	enc  []byte
-}
-
-// tree materializes the publish as a node — the cold-path shape the
-// per-entry fallback and the spill buffer work in.
-func (r *batchRef) tree() *conduit.Node {
-	if r.node != nil {
-		return r.node
-	}
-	n, err := conduit.DecodeBinary(r.enc)
-	if err != nil {
-		// Unreachable: enc was validated before it entered the coalescer.
-		return conduit.NewNode()
-	}
-	return n
-}
-
 type coalescer struct {
 	c   *Client
 	cfg BatchConfig
 
 	mu      sync.Mutex
-	buf     []byte // pending batch frame (header + encoded entries)
-	refs    []batchRef
+	buf     []byte    // pending batch frame (header + encoded entries)
+	leaves  int       // publishes in buf
 	firstAt time.Time // append time of the oldest pending entry
-	pendErr error     // first flush failure since the last Flush
+	pendErr error     // first delivery failure since the last Flush
 	cause   int       // which threshold filled the pending batch (flushCause*)
 	closed  bool
+	spill   spillQueue // redelivery queue (SpillCapacity > 0)
 
 	// sendMu serializes flushes: the buffer swap and the wire send happen
 	// under it, so batches depart in swap order while appends (under mu
 	// only) never block on the network.
-	sendMu    sync.Mutex
-	spareBuf  []byte // previous batch's buffer, recycled for the next swap
-	spareRefs []batchRef
+	sendMu   sync.Mutex
+	spareBuf []byte // previous batch's buffer, recycled for the next swap
 
 	kick     chan struct{}
 	ageTimer *time.Timer
-	stop     chan struct{}
-	done     chan struct{}
+	// retryTimer schedules the next redelivery of the spill queue's head;
+	// armed only while the queue is non-empty.
+	retryTimer *time.Timer
+	stop       chan struct{}
+	done       chan struct{}
 
 	// Adaptive age state (TargetLatency mode). ageNs is the effective age
 	// bound read by append when arming the timer; ackTailNs is a peak-biased
@@ -156,23 +146,25 @@ type coalescer struct {
 	ackTailNs float64
 }
 
-// EnableBatch switches the client's publishes into coalescing mode: they
-// are packed into soma.publish.batch frames flushed by size, count or age
-// (see BatchConfig). Composes with EnableAsync (the worker feeds the
-// coalescer) and EnableSpill (a failed batch spills entry-by-entry and
-// redelivers in batches). Against a server predating the batch RPC the
-// client falls back to per-entry publishes after the first flush.
+// EnableBatch switches the client's publishes into coalescing mode, the
+// asynchronous buffered publish of the paper's client stub: Publish appends
+// to a pending soma.publish.batch frame flushed by size, count or age (see
+// BatchConfig) and returns without waiting on the service. Delivery
+// failures surface from Flush; with SpillCapacity set, transient ones are
+// absorbed and redelivered instead (see spill.go).
 func (c *Client) EnableBatch(cfg BatchConfig) {
 	cfg.defaults()
 	co := &coalescer{
-		c:        c,
-		cfg:      cfg,
-		buf:      conduit.AppendBatchHeader(nil),
-		kick:     make(chan struct{}, 1),
-		ageTimer: time.NewTimer(cfg.MaxAge),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		c:          c,
+		cfg:        cfg,
+		buf:        conduit.AppendBatchHeader(nil),
+		kick:       make(chan struct{}, 1),
+		ageTimer:   time.NewTimer(cfg.MaxAge),
+		retryTimer: time.NewTimer(time.Hour),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
+	co.retryTimer.Stop()
 	if cfg.TargetLatency > 0 {
 		start := cfg.MaxAge
 		if start < minAdaptiveAge {
@@ -243,16 +235,15 @@ retry:
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
-		ref := batchRef{ns: ns, node: n, enc: enc}
-		return co.c.publishDirect(ns, ref.tree())
+		return errPublishAfterClose
 	}
-	if len(co.refs) >= co.cfg.MaxLeaves*batchOverfill || len(co.buf) >= co.cfg.MaxBytes*batchOverfill {
+	if co.leaves >= co.cfg.MaxLeaves*batchOverfill || len(co.buf) >= co.cfg.MaxBytes*batchOverfill {
 		co.mu.Unlock()
 		telBatchBackpressure.Inc()
 		co.flush()
 		goto retry
 	}
-	if len(co.refs) == 0 {
+	if co.leaves == 0 {
 		co.firstAt = time.Now()
 		co.ageTimer.Reset(co.ageBound())
 	}
@@ -261,10 +252,10 @@ retry:
 	} else {
 		co.buf = conduit.AppendBatchEntryEncoded(co.buf, string(ns), enc)
 	}
-	co.refs = append(co.refs, batchRef{ns: ns, node: n, enc: enc})
-	full := len(co.refs) >= co.cfg.MaxLeaves || len(co.buf) >= co.cfg.MaxBytes
+	co.leaves++
+	full := co.leaves >= co.cfg.MaxLeaves || len(co.buf) >= co.cfg.MaxBytes
 	if full && co.cause == flushCauseNone {
-		if len(co.refs) >= co.cfg.MaxLeaves {
+		if co.leaves >= co.cfg.MaxLeaves {
 			co.cause = flushCauseLeaves
 		} else {
 			co.cause = flushCauseBytes
@@ -281,7 +272,7 @@ retry:
 }
 
 // run is the flusher goroutine: size/count kicks and the age timer both
-// land here; stop triggers a final drain.
+// land here, as do spill redelivery retries; stop triggers a final drain.
 func (co *coalescer) run() {
 	defer close(co.done)
 	for {
@@ -293,6 +284,8 @@ func (co *coalescer) run() {
 			co.flush()
 		case <-co.ageTimer.C:
 			co.flushFor(flushCauseAge)
+		case <-co.retryTimer.C:
+			co.redeliver()
 		}
 	}
 }
@@ -308,37 +301,47 @@ func (co *coalescer) flushFor(reason int) {
 	co.sendMu.Lock()
 	defer co.sendMu.Unlock()
 	co.mu.Lock()
-	if len(co.refs) == 0 {
+	if co.leaves == 0 {
 		co.mu.Unlock()
 		return
 	}
-	buf, refs, firstAt := co.buf, co.refs, co.firstAt
+	buf, leaves, firstAt := co.buf, co.leaves, co.firstAt
 	cause := co.cause
 	co.cause = flushCauseNone
 	co.buf = conduit.AppendBatchHeader(co.spareBuf[:0])
-	co.refs = co.spareRefs[:0]
+	co.leaves = 0
+	// Behind a non-empty spill queue the batch waits its turn, so
+	// redelivery keeps publish order.
+	queued := co.spill.leaves > 0
+	if queued {
+		co.spillLocked(buf, leaves)
+	}
 	co.mu.Unlock()
+	if queued {
+		co.spareBuf = buf[:0]
+		return
+	}
 	if cause == flushCauseNone {
 		cause = reason
 	}
 
-	err := co.c.sendBatch(buf, refs)
-
-	// The transport is done with buf once sendBatch returns (Call and
-	// Notify copy into their own frame); recycle it for the next swap.
+	err := co.c.sendBatch(buf, leaves)
+	// The transport is done with buf once sendBatch returns; recycle it for
+	// the next swap (which cannot happen before sendMu is released, so
+	// spillLocked below still copies intact bytes).
 	co.spareBuf = buf[:0]
-	co.spareRefs = refs[:0]
 	if err != nil {
 		co.mu.Lock()
-		if co.pendErr == nil {
+		if co.cfg.SpillCapacity > 0 && redeliverable(err) {
+			co.spillLocked(buf, leaves)
+		} else if co.pendErr == nil {
 			co.pendErr = err
 		}
 		co.mu.Unlock()
-		co.c.reportAsyncError(err)
 		return
 	}
 	telBatchFlushes.Inc()
-	telBatchLeaves.Add(int64(len(refs)))
+	telBatchLeaves.Add(int64(leaves))
 	ack := time.Since(firstAt)
 	telBatchAck.Observe(ack)
 	if co.cfg.TargetLatency > 0 {
@@ -355,13 +358,18 @@ func (co *coalescer) flushFor(reason int) {
 }
 
 // flushNow drains the pending batch synchronously and returns the first
-// flush failure since the last call (Client.Flush's batch half).
+// delivery failure since the last call (Client.Flush).
 func (co *coalescer) flushNow() error {
 	co.flush()
+	return co.takeErr()
+}
+
+// takeErr returns and clears the first delivery failure since the last call.
+func (co *coalescer) takeErr() error {
 	co.mu.Lock()
+	defer co.mu.Unlock()
 	err := co.pendErr
 	co.pendErr = nil
-	co.mu.Unlock()
 	return err
 }
 
@@ -378,85 +386,23 @@ func (co *coalescer) shutdown() {
 	close(co.stop)
 	<-co.done
 	co.ageTimer.Stop()
+	co.retryTimer.Stop()
+	co.mu.Lock()
+	co.spill.wake() // release DrainSpill waiters; the queue is stranded
+	co.mu.Unlock()
 }
 
-// sendBatch delivers one encoded batch frame covering refs, degrading
-// exactly like the single-publish path: entries route behind a non-empty
-// spill buffer, transient transport failures spill entry-by-entry, and an
-// old server without the batch RPC latches the per-entry fallback.
-// Successful delivery counts every leaf in Published at acknowledgement.
-func (c *Client) sendBatch(frame []byte, refs []batchRef) error {
-	if sp := c.spill.Load(); sp != nil && sp.pending() > 0 {
-		if spillRefs(sp, refs) {
-			return nil
-		}
-	}
-	if c.noBatch.Load() {
-		return c.sendBatchFallback(refs)
-	}
-	err := c.sendBatchWire(frame, len(refs))
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, mercury.ErrUnknownRPC) {
-		// Older server: replay this batch entry-by-entry; future publishes
-		// bypass the coalescer entirely (see publishSync).
-		return c.sendBatchFallback(refs)
-	}
-	if sp := c.spill.Load(); sp != nil && mercury.IsTransient(err) {
-		if spillRefs(sp, refs) {
-			return nil
-		}
-	}
-	return err
-}
-
-// sendBatchWire performs the raw batch RPC with no degradation handling;
-// on success every covered leaf is counted at acknowledgement. Spill
-// redelivery uses it directly so a failed redelivery never re-spills.
-func (c *Client) sendBatchWire(frame []byte, leaves int) error {
+// sendBatch performs the batch RPC for one encoded frame carrying leaves
+// publishes; on success every one of them is counted at acknowledgement.
+func (c *Client) sendBatch(frame []byte, leaves int) error {
 	ctx, sp := telemetry.StartSpan(context.Background(), "soma.client.publish.batch")
-	var err error
-	if c.fireAndForget.Load() {
-		err = c.ep.Notify(ctx, RPCPublishBatch, frame)
-	} else {
-		_, err = c.ep.Call(ctx, RPCPublishBatch, frame)
-	}
+	_, err := c.ep.Call(ctx, RPCPublishBatch, frame)
 	if err != nil {
 		sp.Fail()
 	}
 	sp.End()
 	if err == nil {
 		c.published.Add(int64(leaves))
-		return nil
-	}
-	if errors.Is(err, mercury.ErrUnknownRPC) {
-		c.noBatch.Store(true)
 	}
 	return err
-}
-
-// sendBatchFallback replays a batch's entries through the per-entry wire
-// path, in order, returning the first failure (later entries still get
-// their delivery attempt, mirroring the async worker's semantics).
-func (c *Client) sendBatchFallback(refs []batchRef) error {
-	var first error
-	for _, r := range refs {
-		if err := c.publishDirect(r.ns, r.tree()); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// spillRefs buffers a batch's entries into the spill buffer in order.
-// Reports false when the spill rejected an entry (shut down) — entries
-// already buffered stay buffered, the caller surfaces the original error.
-func spillRefs(sp *spillState, refs []batchRef) bool {
-	for _, r := range refs {
-		if !sp.add(r.ns, r.tree()) {
-			return false
-		}
-	}
-	return true
 }

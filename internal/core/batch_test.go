@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,7 +130,7 @@ func TestBatchUnknownNamespaceRejectedAtomically(t *testing.T) {
 }
 
 // Published must count at send-acknowledgement, exactly once per leaf, when
-// async submission feeds the coalescer.
+// concurrent publishers feed the coalescer.
 func TestPublishedCountsAtAckWithAsyncAndBatch(t *testing.T) {
 	_, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
@@ -137,75 +138,29 @@ func TestPublishedCountsAtAckWithAsyncAndBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.EnableAsync(256)
 	c.EnableBatch(BatchConfig{MaxLeaves: 16, MaxAge: time.Millisecond})
 
-	const total = 100
-	for i := 0; i < total; i++ {
-		n := conduit.NewNode()
-		n.SetInt("ack/count", int64(i))
-		if err := c.Publish(NSWorkflow, n); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
+	const total, publishers = 100, 4
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < total; i += publishers {
+				n := conduit.NewNode()
+				n.SetInt("ack/count", int64(i))
+				if err := c.Publish(NSWorkflow, n); err != nil {
+					t.Errorf("publish %d: %v", i, err)
+				}
+			}
+		}(p)
 	}
+	wg.Wait()
 	if err := c.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	if got := c.Published(); got != total {
 		t.Fatalf("Published() = %d after flush, want exactly %d", got, total)
-	}
-}
-
-// Against a server that predates soma.publish.batch the client must latch
-// the per-entry fallback after the first flush — data still lands, every
-// publish is acknowledged and counted once.
-func TestBatchFallbackAgainstOldServer(t *testing.T) {
-	svc, addr := newTestService(t, ServiceConfig{})
-	svc.Engine().Deregister(RPCPublishBatch) // simulate a pre-batch server
-	c, err := Connect(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableBatch(BatchConfig{MaxLeaves: 8, MaxAge: time.Hour})
-
-	const total = 20
-	for i := 0; i < total; i++ {
-		n := conduit.NewNode()
-		n.SetInt("fallback/seq", int64(i))
-		if err := c.Publish(NSWorkflow, n); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if !c.noBatch.Load() {
-		t.Fatal("client did not latch the no-batch fallback against an old server")
-	}
-	if got := c.Published(); got != total {
-		t.Fatalf("Published() = %d, want %d", got, total)
-	}
-	hist, err := svc.History(NSWorkflow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != total {
-		t.Fatalf("old server received %d publishes, want %d", len(hist), total)
-	}
-	for i, rec := range hist {
-		if v, ok := rec.Int("fallback/seq"); !ok || v != int64(i) {
-			t.Fatalf("history[%d] seq = %d (%v), want %d", i, v, ok, i)
-		}
-	}
-	// Latched: later publishes bypass the coalescer entirely.
-	n := conduit.NewNode()
-	n.SetInt("fallback/late", 1)
-	if err := c.Publish(NSWorkflow, n); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Published(); got != total+1 {
-		t.Fatalf("Published() = %d after latched publish, want %d", got, total+1)
 	}
 }
 
@@ -224,8 +179,7 @@ func TestSpillDrainsThroughBatchRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.EnableBatch(BatchConfig{MaxLeaves: 8, MaxAge: time.Millisecond})
-	c.EnableSpill(256)
+	c.EnableBatch(BatchConfig{MaxLeaves: 8, MaxAge: time.Millisecond, SpillCapacity: 256})
 
 	pub := func(i int) {
 		n := conduit.NewNode()
@@ -246,7 +200,7 @@ func TestSpillDrainsThroughBatchRedelivery(t *testing.T) {
 	for i := before; i < before+during; i++ {
 		pub(i)
 	}
-	// Outage publishes flush into transient failures and spill per entry.
+	// Outage publishes flush into transient failures and spill as frames.
 	deadline := time.Now().Add(10 * time.Second)
 	for c.Spill().Buffered < during {
 		if time.Now().After(deadline) {

@@ -27,26 +27,9 @@ type Client struct {
 	engine *mercury.Engine
 	policy *mercury.CallPolicy
 
-	// spill is the graceful-degradation buffer (nil until EnableSpill); see
-	// spill.go.
-	spill atomic.Pointer[spillState]
-
 	// coal is the publish coalescer (nil until EnableBatch); see batch.go.
+	// It also owns the spill redelivery queue (spill.go).
 	coal atomic.Pointer[coalescer]
-	// noBatch latches when the service reports soma.publish.batch as
-	// unknown (an older server); publishes then bypass the coalescer and go
-	// per-entry, mirroring the noDelta latch below.
-	noBatch atomic.Bool
-
-	mu    sync.Mutex
-	async chan publishReq
-	wg    sync.WaitGroup
-	// Errs receives asynchronous publish failures; nil unless async mode
-	// was enabled.
-	Errs chan error
-	// fireAndForget switches publishes to one-way notifications; atomic so
-	// the publish hot path never takes c.mu for it.
-	fireAndForget atomic.Bool
 
 	// published counts successful publishes.
 	published atomic.Int64
@@ -93,16 +76,6 @@ type deltaMemo struct {
 // still work, they just never get the tiny-frame fast path.
 const maxDeltaMemos = 256
 
-type publishReq struct {
-	ns   Namespace
-	node *conduit.Node
-	// flushed marks a Flush sentinel: the worker answers on it instead of
-	// publishing, proving every earlier enqueued publish has been sent, and
-	// reports the first error among them (buffered so the worker never
-	// blocks on an abandoned Flush).
-	flushed chan error
-}
-
 // Connect resolves the service address ("inproc://..." or "tcp://...") into
 // a client. The optional engine (may be nil) accounts client-side RPC stats.
 func Connect(addr string, engine *mercury.Engine) (*Client, error) {
@@ -111,8 +84,8 @@ func Connect(addr string, engine *mercury.Engine) (*Client, error) {
 
 // ConnectPolicy is Connect with an explicit mercury call policy (timeouts,
 // retries, circuit breaker); nil keeps the default. The policy survives
-// reconnects — subscription redials and spill redelivery resolve new
-// endpoints under the same policy.
+// reconnects — subscription redials resolve new endpoints under the same
+// policy.
 func ConnectPolicy(addr string, engine *mercury.Engine, p *mercury.CallPolicy) (*Client, error) {
 	var (
 		ep  *mercury.Endpoint
@@ -129,118 +102,29 @@ func ConnectPolicy(addr string, engine *mercury.Engine, p *mercury.CallPolicy) (
 	return &Client{ep: ep, addr: addr, engine: engine, policy: p}, nil
 }
 
-// EnableAsync switches Publish to buffered asynchronous mode: publishes are
-// queued (up to depth) and sent by a background goroutine, so the
-// instrumented code never blocks on the service — the low-overhead
-// transport mode for real-time deployments. Errors surface on c.Errs.
-func (c *Client) EnableAsync(depth int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.async != nil {
-		return
-	}
-	if depth < 1 {
-		depth = 64
-	}
-	c.async = make(chan publishReq, depth)
-	c.Errs = make(chan error, depth)
-	// The worker must capture the channel VALUE: Close nils the field, and
-	// a field read in the range expression could observe nil (range over a
-	// nil channel blocks forever, deadlocking Close's wg.Wait).
-	ch := c.async
-	errs := c.Errs
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		// pendErr is the first publish failure since the last Flush; a
-		// Flush sentinel collects and clears it, so callers learn when
-		// queued publishes died (e.g. the service stopped underneath them)
-		// even if nothing reads c.Errs.
-		var pendErr error
-		for req := range ch {
-			if req.flushed != nil {
-				req.flushed <- pendErr
-				pendErr = nil
-				continue
-			}
-			if err := c.publishSync(req.ns, req.node); err != nil {
-				if pendErr == nil {
-					pendErr = err
-				}
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}
-	}()
-}
-
-// Publish sends a tree to the namespace's service instance. In async mode
-// it enqueues (dropping with an error on a full queue) and returns
-// immediately.
+// Publish sends a tree to the namespace's service instance. Unbatched it
+// returns after the service's acknowledgement (or with the failure); after
+// EnableBatch it appends to the pending batch and returns, and delivery
+// failures surface from the next Flush.
 func (c *Client) Publish(ns Namespace, n *conduit.Node) error {
-	c.mu.Lock()
-	async := c.async
-	c.mu.Unlock()
-	if async != nil {
-		select {
-		case async <- publishReq{ns: ns, node: n}:
-			return nil
-		default:
-			return fmt.Errorf("soma: async publish queue full")
-		}
-	}
-	return c.publishSync(ns, n)
-}
-
-// Flush blocks until every publish enqueued before the call has been sent
-// — draining the async queue and then the batch coalescer — and returns the
-// first error those publishes hit (e.g. ErrServiceStopped when the service
-// shut down while they were queued) — a silent drain would let a monitor's
-// final batch vanish unnoticed. A no-op in synchronous unbatched mode.
-// Callers that queried data right after a final async publish would
-// otherwise race the background sender — e.g. a monitor's shutdown
-// collection followed by analysis over the same client.
-func (c *Client) Flush() error {
-	c.mu.Lock()
-	async := c.async
-	c.mu.Unlock()
-	var asyncErr error
-	if async != nil {
-		done := make(chan error, 1)
-		async <- publishReq{flushed: done}
-		asyncErr = <-done
-	}
-	// Drain the coalescer second: the async worker feeds it, so every
-	// publish enqueued before this call is now in the batch buffer (or
-	// already on the wire) and the synchronous flush covers it.
-	var batchErr error
 	if co := c.coal.Load(); co != nil {
-		batchErr = co.flushNow()
-	}
-	if asyncErr != nil {
-		return asyncErr
-	}
-	return batchErr
-}
-
-// EnableFireAndForget switches Publish to one-way notifications: the client
-// never waits for the service's acknowledgment, trading delivery
-// confirmation for the lowest possible publish latency — the mode for
-// per-iteration application instrumentation on hot paths. Composable with
-// EnableAsync (the background goroutine then sends notifications).
-func (c *Client) EnableFireAndForget() {
-	c.fireAndForget.Store(true)
-}
-
-// publishSync sends one publish: through the coalescer when batching is
-// enabled (and the server speaks the batch RPC), otherwise directly.
-func (c *Client) publishSync(ns Namespace, n *conduit.Node) error {
-	if co := c.coal.Load(); co != nil && !c.noBatch.Load() {
 		return co.append(ns, n, nil)
 	}
-	return c.publishDirect(ns, n)
+	return c.sendPublish(ns, n)
+}
+
+// Flush blocks until every publish batched before the call has been sent
+// (or moved to the spill redelivery queue) and returns the first failure
+// since the previous Flush — e.g. ErrServiceStopped when the service shut
+// down under a pending batch, or a spilled batch whose redelivery was
+// refused. A silent drain would let a monitor's final batch vanish
+// unnoticed. Callers that query data right after a final batched publish
+// must Flush first. A no-op without EnableBatch.
+func (c *Client) Flush() error {
+	if co := c.coal.Load(); co != nil {
+		return co.flushNow()
+	}
+	return nil
 }
 
 // PublishEncoded sends a pre-encoded tree (Node.EncodeBinary output). A
@@ -248,22 +132,22 @@ func (c *Client) publishSync(ns Namespace, n *conduit.Node) error {
 // the cached bytes, skipping the per-publish encode walk — and, because
 // cached frames are flat byte slices, keeping the publisher's working set
 // free of pointer-rich trees the garbage collector would have to trace.
-// The frame is validated up front; the coalescer retains enc by reference
-// until the batch is acknowledged, so the caller must not mutate it.
-// Without batching enabled (or against a server predating the batch RPC)
-// the frame is decoded and follows the ordinary per-entry path.
+// The frame is validated up front and then copied into the pending batch,
+// so it is not retained past the call; the caller must still not mutate it
+// afterwards, because the validation memo below is keyed by the slice.
+// Without batching enabled the frame is decoded and published synchronously.
 func (c *Client) PublishEncoded(ns Namespace, enc []byte) error {
 	if err := c.validateEncoded(enc); err != nil {
 		return err
 	}
-	if co := c.coal.Load(); co != nil && !c.noBatch.Load() {
+	if co := c.coal.Load(); co != nil {
 		return co.append(ns, nil, enc)
 	}
 	n, err := conduit.DecodeBinary(enc)
 	if err != nil {
 		return err
 	}
-	return c.publishDirect(ns, n)
+	return c.sendPublish(ns, n)
 }
 
 // encSeenMax bounds the validated-frame memo; past it the memo is dropped
@@ -297,43 +181,7 @@ func (c *Client) validateEncoded(enc []byte) error {
 	return nil
 }
 
-// publishDirect sends one per-entry publish, degrading into the spill
-// buffer (when enabled) on transient transport failures — and routing
-// behind any entries already buffered, so redelivery preserves publish
-// order.
-func (c *Client) publishDirect(ns Namespace, n *conduit.Node) error {
-	if sp := c.spill.Load(); sp != nil && sp.pending() > 0 {
-		if sp.add(ns, n) {
-			return nil
-		}
-	}
-	err := c.sendPublish(ns, n)
-	if err == nil {
-		return nil
-	}
-	if sp := c.spill.Load(); sp != nil && mercury.IsTransient(err) {
-		if sp.add(ns, n) {
-			return nil
-		}
-	}
-	return err
-}
-
-// reportAsyncError offers err on Errs without blocking (async mode only).
-func (c *Client) reportAsyncError(err error) {
-	c.mu.Lock()
-	errs := c.Errs
-	c.mu.Unlock()
-	if errs == nil {
-		return
-	}
-	select {
-	case errs <- err:
-	default:
-	}
-}
-
-// sendPublish performs the wire publish with no degradation handling.
+// sendPublish performs one synchronous wire publish.
 func (c *Client) sendPublish(ns Namespace, n *conduit.Node) error {
 	// Every publish is the root of a trace: the span's ids travel in the
 	// mercury frame header, so the service-side handler and stripe append
@@ -348,12 +196,7 @@ func (c *Client) sendPublish(ns Namespace, n *conduit.Node) error {
 	req.Attach("data", n)
 	buf := conduit.GetEncodeBuffer()
 	*buf = req.AppendBinary(*buf)
-	var err error
-	if c.fireAndForget.Load() {
-		err = c.ep.Notify(ctx, RPCPublish, *buf)
-	} else {
-		_, err = c.ep.Call(ctx, RPCPublish, *buf)
-	}
+	_, err := c.ep.Call(ctx, RPCPublish, *buf)
 	conduit.PutEncodeBuffer(buf)
 	if err != nil {
 		// A failed publish is an error trace: the tail sampler always keeps
@@ -367,12 +210,12 @@ func (c *Client) sendPublish(ns Namespace, n *conduit.Node) error {
 	return err
 }
 
-// Published returns the number of acknowledged publishes. Leaves are
-// counted at send-acknowledgement, not at enqueue: an async or batched
-// publish only counts once the service's ack (or the one-way send, in
-// fire-and-forget mode) confirms it left, and a spilled entry counts
-// exactly once, at successful redelivery. After Flush (and DrainSpill, when
-// spill is enabled) the count equals the publishes the service accepted.
+// Published returns the number of acknowledged publishes. Publishes are
+// counted at the service's acknowledgement, not at enqueue: a batched
+// publish counts once its batch is acked, and a spilled one counts exactly
+// once, at successful redelivery. After Flush (and DrainSpill, when
+// BatchConfig.SpillCapacity is set) the count equals the publishes the
+// service accepted.
 func (c *Client) Published() int64 {
 	return c.published.Load()
 }
@@ -625,25 +468,15 @@ func (c *Client) Shutdown() error {
 	return err
 }
 
-// Close flushes the async queue (if any), stops spill redelivery, and
-// releases the endpoint. Buffered spill entries are NOT delivered — call
-// DrainSpill first when they must not be lost.
+// Close flushes the pending batch (if batching is enabled), stops the
+// coalescer's flusher and releases the endpoint. Publishes still on the
+// spill redelivery queue are NOT delivered — call DrainSpill first when
+// they must not be lost.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	async := c.async
-	c.async = nil
-	c.mu.Unlock()
-	if async != nil {
-		close(async)
-		c.wg.Wait()
-	}
 	// Stop the coalescer (final flush) before tearing the endpoint down so
-	// buffered entries get their delivery attempt.
+	// pending entries get their delivery attempt.
 	if co := c.coal.Load(); co != nil {
 		co.shutdown()
-	}
-	if sp := c.spill.Load(); sp != nil {
-		sp.shutdown()
 	}
 	return c.ep.Close()
 }

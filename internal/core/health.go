@@ -14,7 +14,7 @@ import (
 // answers "is the service up, is my client riding out an outage, and is any
 // buffered data at risk". The service side reports liveness and
 // load-shedding; the client stub folds in its local resilience state (the
-// endpoint's circuit breaker and the publish spill buffer), which is
+// endpoint's circuit breaker and the publish spill queue), which is
 // meaningful precisely when the service half is unreachable.
 
 // RPCHealth is the service liveness/degradation RPC.
@@ -33,7 +33,7 @@ type HealthReport struct {
 
 	// Client side; always populated.
 	Breaker  string // endpoint circuit-breaker state (see mercury.BreakerState)
-	Degraded bool   // publishes currently buffered in the spill
+	Degraded bool   // publishes currently queued for spill redelivery
 	Spill    SpillStats
 
 	// Cluster side; zero/empty unless the service joined a cluster

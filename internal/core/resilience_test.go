@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
+	"github.com/hpcobs/gosoma/internal/mercury"
 )
 
 // A spill-enabled client must absorb publishes across a service restart and
@@ -22,7 +25,7 @@ func TestSpillRidesOutServiceRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableSpill(64)
+	client.EnableBatch(BatchConfig{SpillCapacity: 64})
 
 	pub := func(path string, v float64) {
 		n := conduit.NewNode()
@@ -32,12 +35,18 @@ func TestSpillRidesOutServiceRestart(t *testing.T) {
 		}
 	}
 	pub("before/outage", 1)
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	svc.Close()
 	// These publishes hit a dead service: the client degrades instead of
 	// erroring, and buffers them for redelivery.
 	pub("during/outage/a", 2)
 	pub("during/outage/b", 3)
+	if err := client.Flush(); err != nil {
+		t.Fatalf("flush during outage = %v, want the batch spilled", err)
+	}
 	if !client.Degraded() {
 		t.Fatal("client not degraded while the service is down")
 	}
@@ -76,7 +85,8 @@ func TestSpillRidesOutServiceRestart(t *testing.T) {
 	}
 }
 
-// A full spill buffer evicts the oldest entry (newer monitoring data wins).
+// A full spill queue evicts the oldest frame behind the in-flight head
+// (newer monitoring data wins).
 func TestSpillOverflowDropsOldest(t *testing.T) {
 	svc := NewService(ServiceConfig{})
 	addr, err := svc.Listen("tcp://127.0.0.1:0")
@@ -88,7 +98,7 @@ func TestSpillOverflowDropsOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableSpill(2)
+	client.EnableBatch(BatchConfig{SpillCapacity: 2})
 	svc.Close()
 
 	for i := 0; i < 3; i++ {
@@ -96,6 +106,9 @@ func TestSpillOverflowDropsOldest(t *testing.T) {
 		n.SetInt("leaf", int64(i))
 		if err := client.Publish(NSWorkflow, n); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
+		}
+		if err := client.Flush(); err != nil { // one frame per publish
+			t.Fatalf("flush %d: %v", i, err)
 		}
 	}
 	st := client.Spill()
@@ -117,11 +130,14 @@ func TestHealthReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableSpill(8)
+	client.EnableBatch(BatchConfig{SpillCapacity: 8})
 
 	n := conduit.NewNode()
 	n.SetFloat("x", 1)
 	if err := client.Publish(NSWorkflow, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,5 +190,170 @@ func TestHealthReport(t *testing.T) {
 	RenderHealth(&sb, h)
 	if !strings.Contains(sb.String(), "unreachable") {
 		t.Fatalf("rendered health missing status: %q", sb.String())
+	}
+}
+
+// Spill accounting is exact: Spilled == Redelivered + Dropped + Buffered at
+// every Spill() read, through an outage that overflows the queue and the
+// restart that drains it. The in-flight head frame is never evicted, so the
+// first outage publish survives the overflow.
+func TestSpillAccountingExactThroughOutage(t *testing.T) {
+	svc := NewService(ServiceConfig{})
+	addr, err := svc.Listen("tcp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Connect(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.EnableBatch(BatchConfig{MaxLeaves: 4, MaxAge: time.Millisecond, SpillCapacity: 16})
+
+	check := func(st SpillStats) {
+		if st.Spilled != st.Redelivered+st.Dropped+int64(st.Buffered) {
+			t.Errorf("spill accounting broken: %+v", st)
+		}
+	}
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		reads := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- reads
+				return
+			default:
+			}
+			check(client.Spill())
+			reads++
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	pub := func(i int) {
+		n := conduit.NewNode()
+		n.SetInt("seq", int64(i))
+		if err := client.Publish(NSWorkflow, n); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+	}
+	const before, during = 5, 100
+	for i := 0; i < before; i++ {
+		pub(i)
+	}
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	for i := before; i < before+during; i++ {
+		pub(i)
+		if i%3 == 0 {
+			if err := client.Flush(); err != nil {
+				t.Fatalf("flush during outage: %v", err)
+			}
+		}
+	}
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := client.Spill()
+	if st.Dropped == 0 || st.Spilled != during {
+		t.Fatalf("outage stats = %+v, want %d spilled with overflow drops", st, during)
+	}
+
+	svc2 := NewService(ServiceConfig{})
+	if _, err := svc2.Listen(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	defer svc2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := client.DrainSpill(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	close(stop)
+	if reads := <-sampled; reads == 0 {
+		t.Fatal("sampler never read the spill stats")
+	}
+	st = client.Spill()
+	check(st)
+	if st.Buffered != 0 || st.Redelivered == 0 {
+		t.Fatalf("stats after drain = %+v, want an empty queue and redeliveries", st)
+	}
+	if got, want := client.Published(), int64(before)+st.Redelivered; got != want {
+		t.Fatalf("Published() = %d, want %d (before + redelivered)", got, want)
+	}
+	hist, err := svc2.History(NSWorkflow, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(hist)) != st.Redelivered {
+		t.Fatalf("restarted service has %d records, want %d redelivered", len(hist), st.Redelivered)
+	}
+	if v, ok := hist[0].Int("seq"); !ok || v != before {
+		t.Fatalf("first redelivered seq = %d (%v), want %d: the head frame was evicted", v, ok, before)
+	}
+	for i := 1; i < len(hist); i++ {
+		prev, _ := hist[i-1].Int("seq")
+		cur, _ := hist[i].Int("seq")
+		if cur <= prev {
+			t.Fatalf("redelivery out of order: seq %d after %d", cur, prev)
+		}
+	}
+}
+
+// A batch the server sheds unexecuted (mercury.ErrExpired) is spilled and
+// redelivered, not dropped: the handler never ran, so resending is safe.
+func TestSpillRedeliversExpiredBatch(t *testing.T) {
+	svc, addr := newTestService(t, ServiceConfig{})
+	var shed atomic.Bool
+	shed.Store(true)
+	svc.Engine().Register(RPCPublishBatch, func(ctx context.Context, in []byte) ([]byte, error) {
+		if shed.Load() {
+			return nil, fmt.Errorf("%w (shed for the test)", mercury.ErrExpired)
+		}
+		return svc.handlePublishBatch(ctx, in)
+	})
+	client, err := Connect(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.EnableBatch(BatchConfig{MaxAge: time.Hour, SpillCapacity: 8})
+
+	for i := 0; i < 3; i++ {
+		n := conduit.NewNode()
+		n.SetInt("seq", int64(i))
+		if err := client.Publish(NSWorkflow, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Flush(); err != nil {
+		t.Fatalf("flush of a shed batch = %v, want it spilled", err)
+	}
+	if st := client.Spill(); st.Spilled != 3 || st.Dropped != 0 || st.Redelivered != 0 {
+		t.Fatalf("spill stats = %+v, want 3 spilled and none dropped", st)
+	}
+
+	shed.Store(false)
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := client.DrainSpill(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := client.Spill(); st.Redelivered != 3 || st.Dropped != 0 || st.Buffered != 0 {
+		t.Fatalf("spill stats after drain = %+v, want 3 redelivered", st)
+	}
+	if got := client.Published(); got != 3 {
+		t.Fatalf("Published() = %d, want 3", got)
+	}
+	hist, err := svc.History(NSWorkflow, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != 3 {
+		t.Fatalf("service has %d records, want 3", len(hist))
 	}
 }

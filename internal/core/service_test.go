@@ -249,8 +249,8 @@ func TestClientAsyncPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableAsync(128)
-	c.EnableAsync(128) // idempotent
+	c.EnableBatch(BatchConfig{})
+	c.EnableBatch(BatchConfig{}) // idempotent
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
@@ -259,12 +259,12 @@ func TestClientAsyncPublish(t *testing.T) {
 			n := conduit.NewNode()
 			n.SetInt(fmt.Sprintf("k%d", i), int64(i))
 			if err := c.Publish(NSApplication, n); err != nil {
-				t.Errorf("async publish %d: %v", i, err)
+				t.Errorf("batched publish %d: %v", i, err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	c.Close() // flushes the queue
+	c.Close() // flushes the pending batch
 	got, err := svc.Query(NSApplication, "")
 	if err != nil {
 		t.Fatal(err)
@@ -281,17 +281,21 @@ func TestClientFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Flush() // no-op in sync mode
-	c.EnableAsync(128)
+	if err := c.Flush(); err != nil { // no-op in sync mode
+		t.Fatal(err)
+	}
+	c.EnableBatch(BatchConfig{MaxAge: time.Hour}) // only Flush ships the batch
 	for i := 0; i < 32; i++ {
 		n := conduit.NewNode()
 		n.SetInt(fmt.Sprintf("k%d", i), int64(i))
 		if err := c.Publish(NSApplication, n); err != nil {
-			t.Fatalf("async publish %d: %v", i, err)
+			t.Fatalf("batched publish %d: %v", i, err)
 		}
 	}
 	// Flush must make every earlier publish visible without closing.
-	c.Flush()
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := svc.Query(NSApplication, "")
 	if err != nil {
 		t.Fatal(err)
@@ -308,13 +312,12 @@ func TestClientFlush(t *testing.T) {
 func TestClientAsyncErrorsSurface(t *testing.T) {
 	_, addr := newTestService(t, ServiceConfig{})
 	c, _ := Connect(addr, nil)
-	c.EnableAsync(8)
+	c.EnableBatch(BatchConfig{})
 	if err := c.Publish("bogus", conduit.NewNode()); err != nil {
-		t.Fatalf("async enqueue should succeed: %v", err)
+		t.Fatalf("batched append should succeed: %v", err)
 	}
-	err := <-c.Errs
-	if err == nil {
-		t.Fatal("expected async error")
+	if err := c.Flush(); err == nil {
+		t.Fatal("expected the batch's error from Flush")
 	}
 	c.Close()
 }
@@ -383,23 +386,23 @@ func BenchmarkPublishModes(b *testing.B) {
 			}
 		}
 	})
-	b.Run("async", func(b *testing.B) {
+	b.Run("batch", func(b *testing.B) {
 		svc := NewService(ServiceConfig{})
-		addr, _ := svc.Listen("inproc://bench-async")
+		addr, _ := svc.Listen("inproc://bench-batch")
 		defer svc.Close()
 		c, _ := Connect(addr, nil)
-		c.EnableAsync(4096)
+		defer c.Close()
+		c.EnableBatch(BatchConfig{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for {
-				if err := c.Publish(NSHardware, mk()); err == nil {
-					break
-				}
+			if err := c.Publish(NSHardware, mk()); err != nil {
+				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		c.Close()
+		if err := c.Flush(); err != nil {
+			b.Fatal(err)
+		}
 	})
 	b.Run("local", func(b *testing.B) {
 		svc := NewService(ServiceConfig{})
@@ -488,47 +491,6 @@ func TestResetNamespace(t *testing.T) {
 	}
 }
 
-func TestFireAndForgetPublish(t *testing.T) {
-	svc := NewService(ServiceConfig{})
-	addr, err := svc.Listen("tcp://127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	c, err := Connect(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableFireAndForget()
-	for i := 0; i < 20; i++ {
-		n := conduit.NewNode()
-		n.SetInt(fmt.Sprintf("k%d", i), int64(i))
-		if err := c.Publish(NSApplication, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One-way publishes carry no acknowledgment and handlers run
-	// concurrently, so poll until they all land.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got, err := c.Query(NSApplication, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumLeaves() == 20 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leaves = %d want 20", got.NumLeaves())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c.Published() != 20 {
-		t.Fatalf("published = %d", c.Published())
-	}
-}
-
 func TestSelectRPC(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
@@ -584,9 +546,8 @@ func TestSelectRPC(t *testing.T) {
 	}
 }
 
-// Regression: Close immediately after EnableAsync must not deadlock even
-// when the worker goroutine has not started yet (it must capture the
-// channel value, not re-read the field Close nils out).
+// Regression: Close immediately after EnableBatch must not deadlock even
+// when the flusher goroutine has not started yet.
 func TestAsyncCloseImmediatelyNoDeadlock(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	_ = svc
@@ -595,7 +556,7 @@ func TestAsyncCloseImmediatelyNoDeadlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableAsync(8)
+		c.EnableBatch(BatchConfig{})
 		done := make(chan struct{})
 		go func() {
 			c.Close()

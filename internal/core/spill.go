@@ -2,28 +2,33 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/mercury"
 	"github.com/hpcobs/gosoma/internal/telemetry"
 )
 
 // Publish spill: graceful degradation for the client stub. When the service
 // is unreachable (severed connection, open breaker, attempt timeout) a
-// spill-enabled client absorbs publishes into a bounded in-memory buffer and
-// a background loop redelivers them — oldest first, on the shared
-// backoff schedule — once the service heals. Monitoring data keeps flowing
-// through restarts and network blips instead of erroring back into the
-// instrumented component, which has no better recourse than dropping it.
+// batching client with BatchConfig.SpillCapacity set keeps each failed
+// batch frame on an ordered redelivery queue, and the coalescer's flusher
+// goroutine retries the head frame on a backoff schedule once the service
+// heals. Monitoring data keeps flowing through restarts and network blips
+// instead of erroring back into the instrumented component, which has no
+// better recourse than dropping it.
 //
-// Only transient transport failures spill (mercury.IsTransient); definitive
-// server verdicts (handler error, unknown RPC, stopped service) drop the
-// entry and surface on Errs as usual — redelivering those would loop forever.
-// When the buffer is full the OLDEST entry is dropped (counted): under
-// merge's last-writer-wins semantics newer monitoring data supersedes older.
+// Only redeliverable failures spill: transient transport errors
+// (mercury.IsTransient) and mercury.ErrExpired, which the server answers
+// before dispatch, so the handler never ran. Definitive server verdicts
+// (handler error, unknown RPC, stopped service) surface from Flush as usual
+// — redelivering those would loop forever. While the queue is non-empty,
+// later batches queue behind it, preserving per-client publish order. The
+// queue holds whole frames; when it is full the OLDEST frames behind the
+// head are evicted (their publishes counted as dropped): under merge's
+// last-writer-wins semantics newer monitoring data supersedes older. The
+// head frame is the one in flight and is never evicted.
 
 var (
 	telSpillDepth       = telemetry.Default().Gauge("core.client.spill.depth")
@@ -32,309 +37,179 @@ var (
 	telSpillDropped     = telemetry.Default().Counter("core.client.spill.dropped")
 )
 
-// DefaultSpillCapacity bounds the spill buffer when EnableSpill is given no
-// explicit capacity.
-const DefaultSpillCapacity = 1024
+// spillBackoff is the redelivery retry schedule.
+var spillBackoff = mercury.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
 
-// SpillStats is a point-in-time view of a client's spill buffer.
+// SpillStats is a point-in-time view of a client's spill queue. Counts are
+// publishes, not frames; Spilled == Redelivered + Dropped + Buffered holds
+// at every read.
 type SpillStats struct {
 	Enabled     bool
-	Buffered    int // entries currently awaiting redelivery
+	Buffered    int // publishes currently awaiting redelivery
 	Capacity    int
-	Spilled     int64 // entries that ever entered the buffer
+	Spilled     int64 // publishes that ever entered the queue
 	Redelivered int64
 	Dropped     int64 // overflow evictions + definitive redelivery failures
 }
 
-type spillEntry struct {
-	ns   Namespace
-	node *conduit.Node
+// spillFrame is one queued batch frame and the publishes it carries.
+type spillFrame struct {
+	frame  []byte
+	leaves int
 }
 
-type spillState struct {
-	c   *Client
-	max int
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []spillEntry
-	// headSeq counts every head removal (pop or overflow eviction) ever
-	// performed, so a redelivery that peeked a group can tell how many of
-	// those entries an overlapping eviction already removed (see popGroup).
-	headSeq uint64
-
-	closed bool
-	stop   chan struct{}
-	done   chan struct{}
+// spillQueue is the coalescer's redelivery queue, guarded by coalescer.mu.
+type spillQueue struct {
+	frames  []spillFrame
+	leaves  int // publishes across frames
+	retries int // consecutive transient failures of the head frame
+	// drained is closed when the queue empties (or the client closes); nil
+	// while the queue is empty.
+	drained chan struct{}
 
 	spilled, redelivered, dropped int64
 }
 
-// EnableSpill switches the client into graceful-degradation mode: publishes
-// that fail with a transient transport error are buffered (up to capacity
-// entries; <1 = DefaultSpillCapacity) and redelivered in order by a
-// background loop once the service is reachable again. Call DrainSpill
-// before Close to guarantee buffered entries were delivered.
-func (c *Client) EnableSpill(capacity int) {
-	if capacity < 1 {
-		capacity = DefaultSpillCapacity
-	}
-	sp := &spillState{
-		c:    c,
-		max:  capacity,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	sp.cond = sync.NewCond(&sp.mu)
-	if !c.spill.CompareAndSwap(nil, sp) {
-		return // already enabled
-	}
-	go sp.redeliverLoop()
+// redeliverable reports whether a failed batch may be queued for another
+// attempt: the service may have been unreachable, or shed the call
+// unexecuted.
+func redeliverable(err error) bool {
+	return mercury.IsTransient(err) || errors.Is(err, mercury.ErrExpired)
 }
 
-// Spill returns the spill buffer's current statistics (zero value when spill
-// was never enabled).
+// spillLocked copies frame onto the tail of the queue, evicting the oldest
+// frames behind the head while the queue would exceed SpillCapacity. The
+// head and the new frame are always kept, so a frame larger than the
+// capacity still gets redelivered. Arms the first retry when the queue was
+// empty. Called with co.mu held.
+func (co *coalescer) spillLocked(frame []byte, leaves int) {
+	q := &co.spill
+	for len(q.frames) > 1 && q.leaves+leaves > co.cfg.SpillCapacity {
+		ev := q.frames[1].leaves
+		copy(q.frames[1:], q.frames[2:])
+		q.frames[len(q.frames)-1] = spillFrame{}
+		q.frames = q.frames[:len(q.frames)-1]
+		q.leaves -= ev
+		q.dropped += int64(ev)
+		telSpillDropped.Add(int64(ev))
+		telSpillDepth.Add(int64(-ev))
+	}
+	if len(q.frames) == 0 {
+		q.drained = make(chan struct{})
+		co.retryTimer.Reset(spillBackoff.Delay(0))
+	}
+	q.frames = append(q.frames, spillFrame{frame: append([]byte(nil), frame...), leaves: leaves})
+	q.leaves += leaves
+	q.spilled += int64(leaves)
+	telSpillTotal.Add(int64(leaves))
+	telSpillDepth.Add(int64(leaves))
+}
+
+// redeliver retries the queue's head frame (run goroutine only, so the head
+// is never sent twice concurrently). The send happens outside co.mu, so
+// flushes keep queueing behind it. Success or a definitive failure pops the
+// head — the latter drops its publishes and is reported by the next
+// Flush/DrainSpill; a redeliverable failure backs off and tries again.
+func (co *coalescer) redeliver() {
+	co.mu.Lock()
+	if len(co.spill.frames) == 0 {
+		co.mu.Unlock()
+		return
+	}
+	head := co.spill.frames[0]
+	co.mu.Unlock()
+
+	err := co.c.sendBatch(head.frame, head.leaves)
+
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	q := &co.spill
+	if err != nil && redeliverable(err) {
+		q.retries++
+		co.retryTimer.Reset(spillBackoff.Delay(q.retries))
+		return
+	}
+	q.frames[0] = spillFrame{}
+	q.frames = q.frames[1:]
+	q.leaves -= head.leaves
+	q.retries = 0
+	telSpillDepth.Add(int64(-head.leaves))
+	if err == nil {
+		q.redelivered += int64(head.leaves)
+		telSpillRedelivered.Add(int64(head.leaves))
+	} else {
+		q.dropped += int64(head.leaves)
+		telSpillDropped.Add(int64(head.leaves))
+		if co.pendErr == nil {
+			co.pendErr = fmt.Errorf("soma: spill redelivery dropped %d publishes: %w", head.leaves, err)
+		}
+	}
+	if len(q.frames) > 0 {
+		co.retryTimer.Reset(0)
+		return
+	}
+	q.wake()
+}
+
+// wake releases DrainSpill waiters. Called with co.mu held.
+func (q *spillQueue) wake() {
+	if q.drained != nil {
+		close(q.drained)
+		q.drained = nil
+	}
+}
+
+// Spill returns the spill queue's current statistics (zero value when
+// spilling was never enabled).
 func (c *Client) Spill() SpillStats {
-	sp := c.spill.Load()
-	if sp == nil {
+	co := c.coal.Load()
+	if co == nil || co.cfg.SpillCapacity <= 0 {
 		return SpillStats{}
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	q := &co.spill
 	return SpillStats{
 		Enabled:     true,
-		Buffered:    len(sp.buf),
-		Capacity:    sp.max,
-		Spilled:     sp.spilled,
-		Redelivered: sp.redelivered,
-		Dropped:     sp.dropped,
+		Buffered:    q.leaves,
+		Capacity:    co.cfg.SpillCapacity,
+		Spilled:     q.spilled,
+		Redelivered: q.redelivered,
+		Dropped:     q.dropped,
 	}
 }
 
 // Degraded reports whether the client is currently operating in degraded
-// mode (publishes buffered locally awaiting redelivery).
+// mode (publishes queued locally awaiting redelivery).
 func (c *Client) Degraded() bool {
-	sp := c.spill.Load()
-	if sp == nil {
-		return false
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return len(sp.buf) > 0
+	return c.Spill().Buffered > 0
 }
 
-// DrainSpill blocks until every buffered publish has been redelivered (or
-// dropped), or ctx expires — in which case it reports how many entries were
-// still stranded. Call it before Close when buffered data must not be lost.
+// DrainSpill flushes the pending batch, then blocks until the spill queue
+// is empty or ctx expires — in which case it reports how many publishes
+// were still stranded. It returns the first delivery failure since the last
+// Flush, including a spilled batch whose redelivery was refused. Call it
+// before Close when queued data must not be lost.
 func (c *Client) DrainSpill(ctx context.Context) error {
-	sp := c.spill.Load()
-	if sp == nil {
+	co := c.coal.Load()
+	if co == nil {
 		return nil
 	}
-	stopWatch := context.AfterFunc(ctx, func() {
-		sp.mu.Lock()
-		sp.cond.Broadcast()
-		sp.mu.Unlock()
-	})
-	defer stopWatch()
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	for len(sp.buf) > 0 && !sp.closed {
-		if ctx.Err() != nil {
-			return fmt.Errorf("soma: spill drain: %d entries still buffered: %w", len(sp.buf), ctx.Err())
-		}
-		sp.cond.Wait()
-	}
-	return nil
-}
-
-// add buffers one publish, evicting the oldest entry when full. Reports
-// false when the spill has been shut down (the caller surfaces the original
-// error instead).
-func (sp *spillState) add(ns Namespace, n *conduit.Node) bool {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.closed {
-		return false
-	}
-	if len(sp.buf) >= sp.max {
-		copy(sp.buf, sp.buf[1:])
-		sp.buf = sp.buf[:len(sp.buf)-1]
-		sp.headSeq++
-		sp.dropped++
-		telSpillDropped.Inc()
-		telSpillDepth.Dec()
-	}
-	sp.buf = append(sp.buf, spillEntry{ns: ns, node: n})
-	sp.spilled++
-	telSpillTotal.Inc()
-	telSpillDepth.Inc()
-	sp.cond.Broadcast()
-	return true
-}
-
-// pending reports the current buffer depth (ordering check on the publish
-// path: while entries wait, new publishes must queue behind them).
-func (sp *spillState) pending() int {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return len(sp.buf)
-}
-
-// pop removes the head entry after a redelivery attempt resolved it.
-func (sp *spillState) pop(redelivered bool) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if len(sp.buf) == 0 {
-		return
-	}
-	copy(sp.buf, sp.buf[1:])
-	sp.buf = sp.buf[:len(sp.buf)-1]
-	sp.headSeq++
-	if redelivered {
-		sp.redelivered++
-		telSpillRedelivered.Inc()
-	} else {
-		sp.dropped++
-		telSpillDropped.Inc()
-	}
-	telSpillDepth.Dec()
-	sp.cond.Broadcast()
-}
-
-// peekGroup copies up to max head entries for a batched redelivery attempt,
-// with the head sequence at peek time (popGroup's reference point).
-func (sp *spillState) peekGroup(max int) ([]spillEntry, uint64) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	n := len(sp.buf)
-	if n > max {
-		n = max
-	}
-	group := make([]spillEntry, n)
-	copy(group, sp.buf[:n])
-	return group, sp.headSeq
-}
-
-// popGroup removes the first n of the entries peeked at baseSeq after their
-// batched redelivery succeeded. Entries an overflow eviction removed while
-// the batch was in flight are skipped — they are gone from the buffer
-// already (and were double-counted as dropped; delivery still happened
-// exactly once, the stats are the only casualty of that race).
-func (sp *spillState) popGroup(baseSeq uint64, n int) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	skip := int(sp.headSeq - baseSeq)
-	if skip >= n {
-		return
-	}
-	n -= skip
-	if n > len(sp.buf) {
-		n = len(sp.buf)
-	}
-	copy(sp.buf, sp.buf[n:])
-	sp.buf = sp.buf[:len(sp.buf)-n]
-	sp.headSeq += uint64(n)
-	sp.redelivered += int64(n)
-	telSpillRedelivered.Add(int64(n))
-	telSpillDepth.Add(int64(-n))
-	sp.cond.Broadcast()
-}
-
-// shutdown stops the redelivery loop. Entries still buffered stay counted in
-// Buffered (callers wanting zero loss drain first).
-func (sp *spillState) shutdown() {
-	sp.mu.Lock()
-	if sp.closed {
-		sp.mu.Unlock()
-		return
-	}
-	sp.closed = true
-	sp.cond.Broadcast()
-	sp.mu.Unlock()
-	close(sp.stop)
-	<-sp.done
-}
-
-// redeliverLoop retries buffered entries on the shared backoff schedule.
-// When the client has a working batch coalescer, groups of head entries are
-// re-encoded into one batch frame and redelivered in a single round-trip —
-// spill-drain-through-the-coalescer-encoding; otherwise (or to isolate a
-// poisoned entry after a definitive batch failure) it falls back to head-
-// at-a-time delivery: success or a definitive verdict pops the head (the
-// latter also surfaces on Errs); transient failures back off and try again.
-func (sp *spillState) redeliverLoop() {
-	defer close(sp.done)
-	bo := mercury.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
-	attempt := 0
+	co.flush()
 	for {
-		sp.mu.Lock()
-		for len(sp.buf) == 0 && !sp.closed {
-			sp.cond.Wait()
+		co.mu.Lock()
+		n, wait, closed := co.spill.leaves, co.spill.drained, co.closed
+		co.mu.Unlock()
+		if n == 0 {
+			return co.takeErr()
 		}
-		if sp.closed {
-			sp.mu.Unlock()
-			return
+		if closed {
+			return fmt.Errorf("soma: spill drain: client closed with %d publishes still queued", n)
 		}
-		depth := len(sp.buf)
-		sp.mu.Unlock()
-
-		if co := sp.c.coal.Load(); co != nil && !sp.c.noBatch.Load() && depth > 1 {
-			group, base := sp.peekGroup(co.cfg.MaxLeaves)
-			frame := conduit.AppendBatchHeader(nil)
-			for _, e := range group {
-				frame = conduit.AppendBatchEntry(frame, string(e.ns), e.node)
-			}
-			// sendBatchWire, not sendBatch: a redelivery failure must leave
-			// the entries where they are, never re-spill them.
-			err := sp.c.sendBatchWire(frame, len(group))
-			if err == nil {
-				sp.popGroup(base, len(group))
-				attempt = 0
-				continue
-			}
-			if mercury.IsTransient(err) {
-				t := time.NewTimer(bo.Delay(attempt))
-				attempt++
-				select {
-				case <-sp.stop:
-					t.Stop()
-					return
-				case <-t.C:
-				}
-				continue
-			}
-			// Definitive batch rejection (e.g. one poisoned entry failing
-			// the whole frame, or an old server): fall through to the
-			// per-entry path below to make progress entry by entry.
-		}
-
-		sp.mu.Lock()
-		if len(sp.buf) == 0 {
-			sp.mu.Unlock()
-			continue
-		}
-		e := sp.buf[0]
-		sp.mu.Unlock()
-
-		err := sp.c.sendPublish(e.ns, e.node)
-		switch {
-		case err == nil:
-			sp.pop(true)
-			attempt = 0
-		case !mercury.IsTransient(err):
-			sp.pop(false)
-			sp.c.reportAsyncError(fmt.Errorf("soma: spill redelivery dropped: %w", err))
-			attempt = 0
-		default:
-			t := time.NewTimer(bo.Delay(attempt))
-			attempt++
-			select {
-			case <-sp.stop:
-				t.Stop()
-				return
-			case <-t.C:
-			}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return fmt.Errorf("soma: spill drain: %d publishes still queued: %w", n, ctx.Err())
 		}
 	}
 }

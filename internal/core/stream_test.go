@@ -725,8 +725,8 @@ func TestSubscribeResubscribesAfterRestart(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Flush error propagation (regression: a drained queue must not swallow
-// failures of the publishes it drained).
+// Flush error propagation (regression: a drained batch must not swallow
+// failures of the publishes it carried).
 
 func TestFlushReportsQueuedPublishFailure(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
@@ -735,9 +735,9 @@ func TestFlushReportsQueuedPublishFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableAsync(16)
+	client.EnableBatch(BatchConfig{})
 
-	// A healthy queued publish flushes clean.
+	// A healthy batched publish flushes clean.
 	n := conduit.NewNode()
 	n.SetFloat("PROC/cn01/1.0/CPU Util", 1)
 	if err := client.Publish(NSHardware, n); err != nil {
@@ -747,7 +747,7 @@ func TestFlushReportsQueuedPublishFailure(t *testing.T) {
 		t.Fatalf("flush of healthy publish = %v", err)
 	}
 
-	// Stop the service underneath queued publishes: Flush must surface the
+	// Stop the service underneath batched publishes: Flush must surface the
 	// failure instead of draining silently.
 	if err := client.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -758,12 +758,12 @@ func TestFlushReportsQueuedPublishFailure(t *testing.T) {
 	m := conduit.NewNode()
 	m.SetFloat("PROC/cn01/2.0/CPU Util", 2)
 	if err := client.Publish(NSHardware, m); err != nil {
-		t.Fatal(err) // enqueue succeeds; the failure is async
+		t.Fatal(err) // the append succeeds; the failure surfaces at Flush
 	}
 	if err := client.Flush(); err == nil {
 		t.Fatal("flush swallowed a queued publish failure")
 	}
-	// The error was consumed: a later flush with nothing queued is clean.
+	// The error was consumed: a later flush with nothing pending is clean.
 	if err := client.Flush(); err != nil {
 		t.Fatalf("second flush = %v", err)
 	}

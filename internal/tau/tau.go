@@ -13,6 +13,7 @@ package tau
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
 )
@@ -149,8 +150,10 @@ func LoadImbalance(profs []Profile, taskUID, fn string) float64 {
 // monitoring the performance namespace".
 type Plugin struct {
 	publish func(*conduit.Node) error
+	// mu guards Published: tasks on different ranks report concurrently.
+	mu sync.Mutex
 	// Published counts successful publishes (for tests and overhead
-	// accounting).
+	// accounting). Read it once no Report is running.
 	Published int
 }
 
@@ -171,6 +174,8 @@ func (pl *Plugin) Report(profs []Profile) error {
 	if err := pl.publish(root); err != nil {
 		return err
 	}
+	pl.mu.Lock()
 	pl.Published++
+	pl.mu.Unlock()
 	return nil
 }
