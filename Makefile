@@ -54,7 +54,7 @@ verify-stream:
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \
-		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$' \
+		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkPublishBatchStream$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$' \
 		-benchmem -count $(BENCH_COUNT)
 
 benchdiff:

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -542,7 +543,7 @@ func ValidateBinary(data []byte) error {
 		return ErrBadMagic
 	}
 	r := binReader{data: data, pos: 4}
-	if err := validateNode(&r, 0); err != nil {
+	if err := validateNode(&r, 0, false); err != nil {
 		return err
 	}
 	if r.pos != len(data) {
@@ -551,21 +552,23 @@ func ValidateBinary(data []byte) error {
 	return nil
 }
 
-// strSkip advances past a length-prefixed string without materializing it.
-func (r *binReader) strSkip() error {
+// strSkip advances past a length-prefixed string without materializing it,
+// returning its bytes as a subslice of the frame.
+func (r *binReader) strSkip() ([]byte, error) {
 	ln, err := r.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if uint64(len(r.data)-r.pos) < ln {
-		return ErrTruncated
+		return nil, ErrTruncated
 	}
 	r.pos += int(ln)
-	return nil
+	return r.data[r.pos-int(ln) : r.pos], nil
 }
 
-// validateNode is decodeNode's walk with construction stripped out.
-func validateNode(r *binReader, depth int) error {
+// validateNode is decodeNode's walk with construction stripped out. With
+// unique set, an object that repeats a sibling name is ErrDuplicateName.
+func validateNode(r *binReader, depth int, unique bool) error {
 	if depth > maxDepth {
 		return errors.New("conduit: tree too deep")
 	}
@@ -583,13 +586,22 @@ func validateNode(r *binReader, depth int) error {
 		if count > maxDecodeItems {
 			return fmt.Errorf("conduit: child count %d too large", count)
 		}
+		var small [8][]byte // a narrow object's names stay off the heap
+		names := small[:0]
 		for i := uint64(0); i < count; i++ {
-			if err := r.strSkip(); err != nil {
+			name, err := r.strSkip()
+			if err != nil {
 				return err
 			}
-			if err := validateNode(r, depth+1); err != nil {
+			if unique {
+				names = append(names, name)
+			}
+			if err := validateNode(r, depth+1, unique); err != nil {
 				return err
 			}
+		}
+		if repeatsName(names) {
+			return ErrDuplicateName
 		}
 	case KindInt:
 		if _, err := r.varint(); err != nil {
@@ -601,7 +613,7 @@ func validateNode(r *binReader, depth int) error {
 		}
 		r.pos += 8
 	case KindString:
-		if err := r.strSkip(); err != nil {
+		if _, err := r.strSkip(); err != nil {
 			return err
 		}
 	case KindBool:
@@ -637,6 +649,81 @@ func validateNode(r *binReader, depth int) error {
 		return fmt.Errorf("conduit: unknown kind %d", kb)
 	}
 	return nil
+}
+
+// repeatsName reports whether two of an object's child names are equal. It
+// sorts names in place, so a hostile fan-out costs O(n log n), not O(n²).
+func repeatsName(names [][]byte) bool {
+	slices.SortFunc(names, bytes.Compare)
+	for i := 1; i < len(names); i++ {
+		if bytes.Equal(names[i-1], names[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// ErrDuplicateName reports a tree frame in which an object repeats a
+// sibling name. Honest encoders never emit one; DecodeBinary merges such
+// siblings, which a streaming walk cannot reproduce.
+var ErrDuplicateName = errors.New("conduit: object repeats a sibling name")
+
+// WalkNumeric calls fn for every int and float leaf of a tree frame, with
+// its '/'-joined path and its value (ints converted to float64), visiting
+// exactly the paths, values and order that DecodeBinary(data).WalkBytes
+// visits for those leaves — without building a node. path aliases buf,
+// which grows as needed and is returned for reuse; fn must copy path to
+// retain it. The frame is verified first, so fn is called only for a frame
+// that ValidateBinary accepts; a frame in which any object repeats a
+// sibling name returns ErrDuplicateName without calling fn, and the caller
+// must decode it and walk the tree instead.
+func WalkNumeric(data, buf []byte, fn func(path []byte, v float64)) ([]byte, error) {
+	if len(data) < 4 || data[0] != binMagic[0] || data[1] != binMagic[1] ||
+		data[2] != binMagic[2] || data[3] != binMagic[3] {
+		return buf, ErrBadMagic
+	}
+	r := binReader{data: data, pos: 4}
+	if err := validateNode(&r, 0, true); err != nil {
+		return buf, err
+	}
+	if r.pos != len(data) {
+		return buf, fmt.Errorf("conduit: %d trailing bytes", len(data)-r.pos)
+	}
+	r.pos = 4
+	return walkNumeric(&r, buf[:0], fn), nil
+}
+
+// walkNumeric replays one verified node: objects extend path the way
+// Node.walk does (a '/' only after a non-empty prefix), numeric leaves go
+// to fn, and every other node is skipped.
+func walkNumeric(r *binReader, path []byte, fn func([]byte, float64)) []byte {
+	switch Kind(r.data[r.pos]) {
+	case KindObject:
+		r.pos++
+		count, _ := r.uvarint()
+		for i := uint64(0); i < count; i++ {
+			ln, _ := r.uvarint()
+			mark := len(path)
+			if mark > 0 {
+				path = append(path, '/')
+			}
+			path = append(path, r.data[r.pos:r.pos+int(ln)]...)
+			r.pos += int(ln)
+			path = walkNumeric(r, path, fn)
+			path = path[:mark]
+		}
+	case KindInt:
+		r.pos++
+		v, _ := r.varint()
+		fn(path, float64(v))
+	case KindFloat:
+		r.pos++
+		v, _ := r.f64()
+		fn(path, v)
+	default: // a verified non-object leaf: skip it
+		_ = validateNode(r, 0, false)
+	}
+	return path
 }
 
 // MergeBinaryInto merges an encoded tree frame into dst, producing exactly

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +23,11 @@ import (
 //
 // Cost discipline: with no rules installed the publish path pays one atomic
 // load and skips everything else; with rules, only the series keys touched
-// by the publish at hand are (re-)evaluated.
+// by the publish (or batch run) at hand are re-judged, each distinct key
+// once per rule. A judgement matches the key against the rule's pattern,
+// split once when the rule is installed, without splitting the key, and
+// reads the rule window by addressing its 1 s rollup slots directly, so it
+// costs O(window) and — unless the standing changes — allocates nothing.
 
 var (
 	telAlertsFiring      = telemetry.Default().Gauge("core.alerts.firing")
@@ -34,6 +40,7 @@ const DefaultAlertSeverity = "warning"
 // AlertRule is one declarative threshold rule. A rule watches every series
 // of NS whose key matches Pattern and fires when the mean over the trailing
 // WindowSec seconds satisfies "value Op Threshold".
+// Threshold and WindowSec must be finite.
 type AlertRule struct {
 	Name      string // unique rule name
 	NS        Namespace
@@ -42,6 +49,8 @@ type AlertRule struct {
 	Threshold float64
 	WindowSec float64 // trailing window width; min 1 (one rollup bucket)
 	Severity  string  // free-form label carried on transitions (default "warning")
+
+	segs []string // Pattern split on '/', set by validate
 }
 
 func (r *AlertRule) validate() error {
@@ -59,12 +68,19 @@ func (r *AlertRule) validate() error {
 	default:
 		return fmt.Errorf("soma: alert rule %q has unknown op %q", r.Name, r.Op)
 	}
+	if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) {
+		return fmt.Errorf("soma: alert rule %q threshold %v is not finite", r.Name, r.Threshold)
+	}
+	if math.IsNaN(r.WindowSec) || math.IsInf(r.WindowSec, 0) {
+		return fmt.Errorf("soma: alert rule %q window %v is not finite", r.Name, r.WindowSec)
+	}
 	if r.WindowSec < 1 {
 		r.WindowSec = 1
 	}
 	if r.Severity == "" {
 		r.Severity = DefaultAlertSeverity
 	}
+	r.segs = strings.Split(r.Pattern, "/")
 	return nil
 }
 
@@ -108,6 +124,10 @@ type alertEngine struct {
 	mu     sync.Mutex
 	rules  map[string]*AlertRule
 	states map[string]map[string]*alertState // rule name → series key → state
+	// seen and distinct are evaluate's scratch for deduplicating keys, kept
+	// so re-judging allocates nothing once they have grown.
+	seen     map[string]struct{}
+	distinct []string
 
 	// notify publishes a transition tree onto the update bus under the
 	// reserved alerts stream; set by the owning Service.
@@ -118,6 +138,7 @@ func newAlertEngine(notify func(Namespace, *conduit.Node)) *alertEngine {
 	return &alertEngine{
 		rules:  map[string]*AlertRule{},
 		states: map[string]map[string]*alertState{},
+		seen:   map[string]struct{}{},
 		notify: notify,
 	}
 }
@@ -217,17 +238,28 @@ func (e *alertEngine) list() ([]AlertRule, []AlertState) {
 }
 
 // evaluate re-judges every rule of ns against the series keys a publish just
-// touched. now is the newest sample time of the publish; the rule window is
+// touched, each distinct key once (a repeat occurrence would read the same
+// window). now is the newest sample time of the publish; the rule window is
 // [now-WindowSec, now]. Transitions are published via notify.
 func (e *alertEngine) evaluate(ns Namespace, store *seriesStore, keys []string, now float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for _, key := range e.distinct {
+		delete(e.seen, key) // O(keys), where clear would cost the map's peak size
+	}
+	e.distinct = e.distinct[:0]
+	for _, key := range keys {
+		if _, dup := e.seen[key]; !dup {
+			e.seen[key] = struct{}{}
+			e.distinct = append(e.distinct, key)
+		}
+	}
 	for name, r := range e.rules {
 		if r.NS != ns {
 			continue
 		}
-		for _, key := range keys {
-			if !matchSeriesKey(r.Pattern, key) {
+		for _, key := range e.distinct {
+			if !matchKey(r.segs, key) {
 				continue
 			}
 			agg, ok := store.window(key, now-r.WindowSec, now)

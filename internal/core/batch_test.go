@@ -245,14 +245,36 @@ func TestSpillDrainsThroughBatchRedelivery(t *testing.T) {
 	}
 }
 
-// With rollups disabled and no subscribers the server takes the decode-free
-// ingest path: batch entries are validated and stored as wire bytes, folded
-// straight into snapshots, and only decoded lazily for History. Results must
-// be indistinguishable from the materializing path.
+// Every batch takes the decode-free ingest path, whatever the stream side
+// needs: entries are validated and stored as wire bytes, folded straight
+// into snapshots, streamed to rollups and subscribers from the bytes, and
+// only decoded lazily for History. Results must be indistinguishable from
+// the materializing path, with rollups on and off, with and without a live
+// subscriber.
 func TestBatchRawIngestPath(t *testing.T) {
-	svc, addr := newTestService(t, ServiceConfig{DisableRollups: true})
-	if svc.treesNeeded() {
-		t.Fatal("rollups disabled with no subscribers should select the raw ingest path")
+	for _, rollups := range []bool{false, true} {
+		for _, subscribed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("rollups=%v,subscribed=%v", rollups, subscribed), func(t *testing.T) {
+				testBatchRawIngestPath(t, rollups, subscribed)
+			})
+		}
+	}
+}
+
+func testBatchRawIngestPath(t *testing.T, rollups, subscribed bool) {
+	svc, addr := newTestService(t, ServiceConfig{DisableRollups: !rollups})
+	if subscribed {
+		ch, cancel, err := svc.SubscribeLocal(NSHardware)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for range ch {
+			}
+		}()
+		defer func() { cancel(); <-drained }()
 	}
 	c, err := Connect(addr, nil)
 	if err != nil {
@@ -280,6 +302,17 @@ func TestBatchRawIngestPath(t *testing.T) {
 	}
 	if got := c.Published(); got != total {
 		t.Fatalf("Published() = %d, want %d", got, total)
+	}
+	// Every stored record holds wire bytes, never a decoded tree.
+	for _, st := range svc.instances[NSHardware].stripes {
+		st.mu.Lock()
+		for i := 0; i < st.count; i++ {
+			if r := st.history[i]; r.enc == nil || r.node != nil {
+				st.mu.Unlock()
+				t.Fatalf("batch record %d is not raw (enc %d bytes, tree %v)", i, len(r.enc), r.node != nil)
+			}
+		}
+		st.mu.Unlock()
 	}
 
 	// Query folds the raw records into the snapshot without materializing.
@@ -344,7 +377,7 @@ func TestBatchRawIngestRejectsAtomically(t *testing.T) {
 	frame := conduit.AppendBatchHeader(nil)
 	frame = conduit.AppendBatchEntry(frame, string(NSWorkflow), good)
 	frame = conduit.AppendBatchEntry(frame, "bogus", good)
-	if err := svc.publishBatchFrame(context.Background(), frame); err == nil {
+	if err := svc.publishBatchFrame(context.Background(), frame, len(frame)); err == nil {
 		t.Fatal("batch with unknown namespace accepted on the raw path")
 	}
 
@@ -357,7 +390,7 @@ func TestBatchRawIngestRejectsAtomically(t *testing.T) {
 	// Entry layout: uvarint nsLen, ns, u32 treeLen, 4-byte tree magic, kind.
 	kindOff := mark + 1 + len(NSWorkflow) + 4 + 4
 	frame[kindOff] = 0xEE
-	if err := svc.publishBatchFrame(context.Background(), frame); err == nil {
+	if err := svc.publishBatchFrame(context.Background(), frame, len(frame)); err == nil {
 		t.Fatal("batch with corrupt tree bytes accepted on the raw path")
 	}
 

@@ -240,3 +240,69 @@ func BenchmarkPublishBatch(b *testing.B) {
 		b.Fatalf("Published() = %d, want %d", got, b.N)
 	}
 }
+
+// BenchmarkPublishBatchStream is BenchmarkPublishBatch in the shipped
+// stream configuration: rollups on, three threshold rules shaped like a
+// sensor fleet's (one host-wildcard rule per watched sensor plus a
+// catch-all) and one live local subscriber, so every batch pays the rollup
+// fold, alert evaluation and fan-out. One op is one logical publish.
+func BenchmarkPublishBatchStream(b *testing.B) {
+	svc := NewService(ServiceConfig{MaxRecords: 4096})
+	addr, err := svc.Listen("inproc://bench-publish-batch-stream")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	for _, r := range []AlertRule{
+		{Name: "sensor-hot", NS: NSHardware, Pattern: "PROC/*/s00", Op: ">", Threshold: 1e18, WindowSec: 1},
+		{Name: "sensor-stuck", NS: NSHardware, Pattern: "PROC/*/s07", Op: "<", Threshold: -1, WindowSec: 10},
+		{Name: "any-sensor", NS: NSHardware, Pattern: "PROC/**", Op: ">=", Threshold: 1e18, WindowSec: 1},
+	} {
+		if err := svc.SetAlert(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ch, cancel, err := svc.SubscribeLocal(NSHardware)
+	if err != nil {
+		b.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range ch {
+		}
+	}()
+	defer func() { cancel(); <-drained }()
+	c, err := Connect(addr, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	c.EnableBatch(BatchConfig{})
+
+	// 256 nodes × 16 single-leaf sensors, published node-interleaved.
+	nodes := make([]*conduit.Node, 256*16)
+	for i := range nodes {
+		n := conduit.NewNode()
+		n.SetFloat(fmt.Sprintf("PROC/cn%04d/s%02d", i%256, i/256), float64(i))
+		nodes[i] = n
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Publish(NSHardware, nodes[i%len(nodes)]); err != nil {
+			b.Fatal(err)
+		}
+		if i%4096 == 4095 {
+			if _, err := svc.Query(NSHardware, "PROC/cn0000"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := c.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if got := c.Published(); got != int64(b.N) {
+		b.Fatalf("Published() = %d, want %d", got, b.N)
+	}
+}

@@ -177,15 +177,65 @@ func (br *bucketRing) collect(after float64) []SeriesBucket {
 	return out
 }
 
+// window aggregates the non-empty buckets with from <= Start <= to into
+// one min/max/mean, summing in ascending Start order. A window that fits
+// the ring addresses its slots directly, (start/width) mod cap, counting a
+// slot only when its stored start is the one asked for; a wider window
+// scans the whole ring. Both give the same bits as aggregating collect(from).
+func (br *bucketRing) window(from, to float64) (SeriesBucket, bool) {
+	agg := SeriesBucket{Start: from, Min: math.Inf(1), Max: math.Inf(-1)}
+	var sum float64
+	fold := func(b SeriesBucket) {
+		if b.Start > to {
+			return
+		}
+		if b.Min < agg.Min {
+			agg.Min = b.Min
+		}
+		if b.Max > agg.Max {
+			agg.Max = b.Max
+		}
+		sum += b.Mean * float64(b.Count)
+		agg.Count += b.Count
+	}
+	// Bucket starts are multiples of width in [0, maxSeriesTime].
+	w := float64(br.width)
+	lo := math.Max(math.Ceil(from/w), 0)
+	hi := math.Min(math.Floor(to/w), maxSeriesTime)
+	n := int64(len(br.slots))
+	switch {
+	case hi < lo:
+		return SeriesBucket{}, false
+	case !(hi-lo < float64(n)): // wider than the ring, or NaN bounds
+		for _, b := range br.collect(from) {
+			fold(b)
+		}
+	default:
+		for i := int64(lo); i <= int64(hi); i++ {
+			b := &br.slots[i%n]
+			if b.start == i*br.width && b.count > 0 && float64(b.start) >= from {
+				fold(SeriesBucket{Start: float64(b.start), Min: b.min, Max: b.max,
+					Mean: b.sum / float64(b.count), Count: b.count})
+			}
+		}
+	}
+	if agg.Count == 0 {
+		return SeriesBucket{}, false
+	}
+	agg.Mean = sum / float64(agg.Count)
+	return agg, true
+}
+
 // series is one metric's rollup state. Guarded by its shard's lock.
 type series struct {
+	key string // the store's map key, handed out to alert evaluation
 	raw rawRing
 	b1  bucketRing
 	b10 bucketRing
 }
 
-func newSeries() *series {
-	return &series{b1: newBucketRing(1, b1Cap), b10: newBucketRing(10, b10Cap)}
+func newSeries(key string) *series {
+	return &series{key: key, b1: newBucketRing(1, b1Cap), b10: newBucketRing(10, b10Cap)}
 }
 
 type seriesShard struct {
@@ -213,16 +263,7 @@ func newSeriesStore(maxSeries int) *seriesStore {
 }
 
 // fnv1a hashes the series key onto a shard.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func fnv1aBytes(s []byte) uint32 {
+func fnv1a[K string | []byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -232,10 +273,11 @@ func fnv1aBytes(s []byte) uint32 {
 }
 
 // observe folds one sample into its series, creating the series on first
-// sight (up to the cap). key may alias a transient buffer: it is only
+// sight (up to the cap), and returns the series' own key string ("" when
+// the cap dropped the sample). key may alias a transient buffer: it is only
 // copied when a new series is created.
-func (st *seriesStore) observe(key []byte, t, v float64) {
-	sh := &st.shards[fnv1aBytes(key)%seriesShards]
+func (st *seriesStore) observe(key []byte, t, v float64) string {
+	sh := &st.shards[fnv1a(key)%seriesShards]
 	sh.mu.Lock()
 	se, ok := sh.m[string(key)] // no alloc: map lookup special case
 	if !ok {
@@ -244,18 +286,19 @@ func (st *seriesStore) observe(key []byte, t, v float64) {
 			st.countMu.Unlock()
 			sh.mu.Unlock()
 			telSeriesDropped.Inc()
-			return
+			return ""
 		}
 		st.count++
 		st.countMu.Unlock()
-		se = newSeries()
-		sh.m[string(key)] = se
+		se = newSeries(string(key))
+		sh.m[se.key] = se
 	}
 	se.raw.push(SeriesPoint{Time: t, Value: v})
 	se.b1.add(t, v)
 	se.b10.add(t, v)
 	sh.mu.Unlock()
 	telSeriesPoints.Inc()
+	return se.key
 }
 
 // splitSeriesPath derives (key, sampleTime) from one leaf path: the last
@@ -311,44 +354,65 @@ func splitSeriesPathBytes(path []byte, arrival float64, scratch []byte) (key []b
 	}
 }
 
-// ingest walks the published tree's numeric leaves into the store and
-// returns the series keys that were updated (for alert evaluation); keys is
-// nil when the caller passes collect=false. The walk, the key derivation
-// and the store lookup all reuse buffers — the steady-state publish path
-// allocates nothing here.
-func (st *seriesStore) ingest(arrival float64, n *conduit.Node, collect bool) (keys []string, maxT float64) {
-	maxT = arrival
-	var scratch []byte
+// seriesIngest folds the numeric leaves of one run of publishes into a
+// store. keys collects the touched series keys for alert evaluation (the
+// store's own strings, so collecting allocates nothing) when collect is
+// set; maxT is the newest sample time seen. The walk, key and timestamp
+// buffers are reused across leaves and publishes.
+type seriesIngest struct {
+	st      *seriesStore
+	arrival float64
+	collect bool
+	keys    []string
+	maxT    float64
+	walk    []byte
+	scratch []byte
+}
+
+func (g *seriesIngest) leaf(path []byte, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	var key []byte
+	var t float64
+	key, t, g.scratch = splitSeriesPathBytes(path, g.arrival, g.scratch)
+	if len(key) == 0 {
+		return
+	}
+	k := g.st.observe(key, t, v)
+	if t > g.maxT {
+		g.maxT = t
+	}
+	if g.collect && k != "" {
+		g.keys = append(g.keys, k)
+	}
+}
+
+// tree folds a publish tree's numeric leaves.
+func (g *seriesIngest) tree(n *conduit.Node) {
 	n.WalkBytes(func(path []byte, leaf *conduit.Node) bool {
-		var v float64
 		switch leaf.Kind() {
 		case conduit.KindFloat:
-			v, _ = leaf.Float("")
+			v, _ := leaf.Float("")
+			g.leaf(path, v)
 		case conduit.KindInt:
 			iv, _ := leaf.Int("")
-			v = float64(iv)
-		default:
-			return true
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-		var key []byte
-		var t float64
-		key, t, scratch = splitSeriesPathBytes(path, arrival, scratch)
-		if len(key) == 0 {
-			return true
-		}
-		st.observe(key, t, v)
-		if t > maxT {
-			maxT = t
-		}
-		if collect {
-			keys = append(keys, string(key))
+			g.leaf(path, float64(iv))
 		}
 		return true
 	})
-	return keys, maxT
+}
+
+// encoded folds a validated tree frame's numeric leaves straight from its
+// bytes. A frame repeating a sibling name means what DecodeBinary makes of
+// it (the siblings merged), so it is decoded and walked as a tree.
+func (g *seriesIngest) encoded(enc []byte) {
+	var err error
+	if g.walk, err = conduit.WalkNumeric(enc, g.walk, g.leaf); err != nil {
+		if n, derr := conduit.DecodeBinary(enc); derr == nil {
+			g.tree(n)
+		}
+	}
 }
 
 // query returns one series' data at the requested level. Raw level fills
@@ -381,41 +445,26 @@ func (st *seriesStore) query(key string, level SeriesLevel, after float64) (pts 
 // window aggregates the 1 s buckets of [from, to] into one min/max/mean —
 // the alert evaluator's view of a rule window.
 func (st *seriesStore) window(key string, from, to float64) (SeriesBucket, bool) {
-	_, buckets, ok := st.query(key, Level1s, from)
-	if !ok || len(buckets) == 0 {
+	sh := &st.shards[fnv1a(key)%seriesShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	se, ok := sh.m[key]
+	if !ok {
 		return SeriesBucket{}, false
 	}
-	agg := SeriesBucket{Start: from, Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, b := range buckets {
-		if b.Start > to {
-			continue
-		}
-		if b.Min < agg.Min {
-			agg.Min = b.Min
-		}
-		if b.Max > agg.Max {
-			agg.Max = b.Max
-		}
-		sum += b.Mean * float64(b.Count)
-		agg.Count += b.Count
-	}
-	if agg.Count == 0 {
-		return SeriesBucket{}, false
-	}
-	agg.Mean = sum / float64(agg.Count)
-	return agg, true
+	return se.b1.window(from, to)
 }
 
 // keysMatching returns the sorted series keys matching a '/'-separated glob
 // ('*' = one segment, '**' = any tail); "" or "**" matches everything.
 func (st *seriesStore) keysMatching(pattern string) []string {
 	var out []string
+	pat := strings.Split(pattern, "/")
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		for k := range sh.m {
-			if pattern == "" || matchSeriesKey(pattern, k) {
+			if pattern == "" || matchKey(pat, k) {
 				out = append(out, k)
 			}
 		}
@@ -439,36 +488,54 @@ func (st *seriesStore) reset() {
 	}
 }
 
-// matchSeriesKey implements the same glob semantics as conduit's Select
-// over an already-flattened key: '*' matches exactly one segment, '**'
-// matches any (possibly empty) tail.
-func matchSeriesKey(pattern, key string) bool {
-	return matchSegs(strings.Split(pattern, "/"), strings.Split(key, "/"))
+// matchKey reports whether a series key matches a glob already split on
+// '/', with the semantics of conduit's Select: '*' matches exactly one
+// segment, '**' any (possibly empty) tail. The key is matched in place,
+// never split.
+func matchKey(pat []string, key string) bool {
+	return matchRest(pat, key, true)
 }
 
-func matchSegs(pat, segs []string) bool {
-	for len(pat) > 0 {
-		p := pat[0]
-		if p == "**" {
+// matchRest matches pat against the segments of rest; more is false once
+// every segment is consumed (distinct from one empty segment left).
+func matchRest(pat []string, rest string, more bool) bool {
+	for ; len(pat) > 0; pat = pat[1:] {
+		if pat[0] == "**" {
 			if len(pat) == 1 {
 				return true
 			}
-			for i := 0; i <= len(segs); i++ {
-				if matchSegs(pat[1:], segs[i:]) {
+			for {
+				if matchRest(pat[1:], rest, more) {
 					return true
 				}
+				if !more {
+					return false
+				}
+				rest, more = nextKeySeg(rest)
 			}
+		}
+		if !more {
 			return false
 		}
-		if len(segs) == 0 {
+		seg := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			seg = rest[:i]
+		}
+		if pat[0] != "*" && pat[0] != seg {
 			return false
 		}
-		if p != "*" && p != segs[0] {
-			return false
-		}
-		pat, segs = pat[1:], segs[1:]
+		rest, more = nextKeySeg(rest)
 	}
-	return len(segs) == 0
+	return !more
+}
+
+// nextKeySeg drops rest's first segment.
+func nextKeySeg(rest string) (string, bool) {
+	i := strings.IndexByte(rest, '/')
+	if i < 0 {
+		return "", false
+	}
+	return rest[i+1:], true
 }
 
 // ---------------------------------------------------------------------------

@@ -115,12 +115,13 @@ type InstanceStats struct {
 // record is one raw publish as stored in a stripe's history ring. seq gives
 // the global arrival order within the instance (ring entries from different
 // stripes are re-interleaved by seq when history is read). Exactly one of
-// node and enc is set: the raw batch ingest path stores the entry's
-// validated wire bytes (subslices of one shared frame copy) instead of a
-// materialized tree, deferring decode to the fold or a history read —
-// thousands of pending single-leaf publishes then cost the garbage
-// collector a handful of flat byte buffers instead of a map-and-string
-// forest.
+// node and enc is set: a single publish keeps its tree, while every batch
+// entry is stored as its validated wire bytes (subslices of one shared,
+// immutable frame copy) and never materialized on ingest — the rollup fold,
+// alert keys and subscriber fan-out read the bytes, and only the snapshot
+// fold or a history read decodes. Thousands of pending single-leaf
+// publishes then cost the garbage collector a handful of flat byte buffers
+// instead of a map-and-string forest.
 type record struct {
 	time float64
 	seq  uint64
@@ -282,20 +283,19 @@ func newInstance(ns Namespace, ranks, maxRecords, stripes int) *instance {
 	return in
 }
 
-// publishBatch appends a run of same-namespace publishes under a SINGLE
-// stripe-lock acquisition — the server half of wire batching. Sequence
-// numbers are taken inside the lock so the run occupies a contiguous seq
-// range and later merges preserve the batch's internal order; the
+// publish appends a run of same-namespace records (a single publish is a
+// run of one) to one stripe's pending batch and history ring under a SINGLE
+// stripe-lock acquisition, stamping each with now and the next sequence
+// number. Sequence numbers are taken inside the lock so the run occupies a
+// contiguous seq range and later merges preserve its internal order; the
 // generation bumps once, after every record is visible, so a snapshot
-// stamped with the new gen contains the whole run.
-func (in *instance) publishBatch(now float64, entries []conduit.BatchEntry, rawBytes int) {
-	if len(entries) == 0 {
-		return
-	}
+// stamped with the new gen contains the whole run. No tree is merged here;
+// merging is deferred to the next snapshot rebuild.
+func (in *instance) publish(now float64, rawBytes int, recs []record) {
 	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
 	st.mu.Lock()
-	for k := range entries {
-		rec := record{time: now, seq: in.seq.Add(1), node: entries[k].Tree}
+	for _, rec := range recs {
+		rec.time, rec.seq = now, in.seq.Add(1)
 		st.pending = append(st.pending, rec)
 		st.history[st.head] = rec
 		st.head = (st.head + 1) % len(st.history)
@@ -303,58 +303,11 @@ func (in *instance) publishBatch(now float64, entries []conduit.BatchEntry, rawB
 			st.count++
 		}
 	}
-	st.pubs += int64(len(entries))
+	st.pubs += int64(len(recs))
 	st.bytesIn += int64(rawBytes)
 	st.last = now
 	st.mu.Unlock()
-	in.gen.Add(uint64(len(entries)))
-}
-
-// publishBatchRaw is publishBatch for pre-validated wire entries: records
-// carry the encoded bytes (subslices of one retained frame copy) and no
-// tree is built at all — the fold and history reads decode lazily. This is
-// the 1M-publishes/sec ingest shape: per entry it costs two ring stores and
-// a seq bump under one stripe lock held once for the whole run.
-func (in *instance) publishBatchRaw(now float64, encs [][]byte, rawBytes int) {
-	if len(encs) == 0 {
-		return
-	}
-	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
-	st.mu.Lock()
-	for _, enc := range encs {
-		rec := record{time: now, seq: in.seq.Add(1), enc: enc}
-		st.pending = append(st.pending, rec)
-		st.history[st.head] = rec
-		st.head = (st.head + 1) % len(st.history)
-		if st.count < len(st.history) {
-			st.count++
-		}
-	}
-	st.pubs += int64(len(encs))
-	st.bytesIn += int64(rawBytes)
-	st.last = now
-	st.mu.Unlock()
-	in.gen.Add(uint64(len(encs)))
-}
-
-// publish is the O(1) ingest hot path: pick a stripe, append to its pending
-// batch and history ring under the stripe's lock, bump the generation. No
-// tree is merged here; merging is deferred to the next snapshot rebuild.
-func (in *instance) publish(now float64, n *conduit.Node, rawBytes int) {
-	seq := in.seq.Add(1)
-	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
-	st.mu.Lock()
-	st.pending = append(st.pending, record{time: now, seq: seq, node: n})
-	st.history[st.head] = record{time: now, seq: seq, node: n}
-	st.head = (st.head + 1) % len(st.history)
-	if st.count < len(st.history) {
-		st.count++
-	}
-	st.pubs++
-	st.bytesIn += int64(rawBytes)
-	st.last = now
-	st.mu.Unlock()
-	in.gen.Add(1)
+	in.gen.Add(uint64(len(recs)))
 }
 
 // snapshotTree returns the instance's merged tree; see currentSnapshot.
@@ -743,7 +696,7 @@ type statsCache struct {
 const (
 	RPCPublish = "soma.publish"
 	// RPCPublishBatch carries many (namespace, tree) publishes in one
-	// conduit batch frame (see conduit.DecodeBatch); the service applies
+	// conduit batch frame (see conduit.AppendBatchEntry); the service applies
 	// them in wire order with one stripe-lock acquisition and one
 	// rollup/alert pass per consecutive same-namespace run.
 	RPCPublishBatch = "soma.publish.batch"
@@ -938,102 +891,55 @@ func (s *Service) publishLocalCtx(ctx context.Context, ns Namespace, n *conduit.
 	start := time.Now()
 	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append", start)
 	tid := sp.Context().TraceID // before EndAt: the span is pooled after it
-	in.publish(now, n, rawBytes)
+	recs := []record{{node: n}}
+	in.publish(now, rawBytes, recs)
 	end := time.Now()
 	// ObserveTrace stamps the latency bucket with this trace id, so a p99
 	// exemplar in soma.telemetry links straight to a kept trace.
 	telPubLatency.ObserveTrace(end.Sub(start), tid)
 	telPublishes.Inc()
 	sp.EndAt(end)
-	// Stream side of the ingest: fold the publish into the rollup buckets,
-	// re-judge any alert rules its series touch, and fan it out to live
-	// subscribers. Each stage short-circuits to an atomic check when unused.
+	s.stream(now, ns, in, recs)
+	return nil
+}
+
+// stream is the stream side of ingest for one run of same-namespace
+// records: fold their numeric leaves into the rollup buckets, re-judge
+// alert rules over the union of touched series keys in a single pass, and
+// fan each publish out to live subscribers. Each stage short-circuits to
+// an atomic check when unused.
+func (s *Service) stream(now float64, ns Namespace, in *instance, recs []record) {
 	if in.rollup != nil {
-		keys, maxT := in.rollup.ingest(now, n, s.alerts.active())
-		if len(keys) > 0 {
-			s.alerts.evaluate(ns, in.rollup, keys, maxT)
+		g := seriesIngest{st: in.rollup, arrival: now, maxT: now, collect: s.alerts.active()}
+		for i := range recs {
+			if recs[i].enc != nil {
+				g.encoded(recs[i].enc)
+			} else {
+				g.tree(recs[i].node)
+			}
+		}
+		if len(g.keys) > 0 {
+			s.alerts.evaluate(ns, in.rollup, g.keys, g.maxT)
 		}
 	}
-	s.fanOut(now, ns, n)
-	return nil
+	s.fanOut(now, ns, recs)
 }
 
-// PublishBatch ingests a decoded batch of publishes in wire order; see
-// PublishBatchCtx.
-func (s *Service) PublishBatch(entries []conduit.BatchEntry, rawBytes int) error {
-	return s.PublishBatchCtx(context.Background(), entries, rawBytes)
-}
-
-// PublishBatchCtx applies one wire batch. Entries land in wire order, but
-// the per-publish work is amortized per consecutive same-namespace run: one
-// stripe-lock acquisition, one generation bump, and one rollup/alert pass
-// per run instead of per leaf. Every entry's namespace is validated before
-// any is applied, so a batch is ingested atomically or rejected whole —
-// a half-applied batch would leave the client's Published() accounting
-// unreconcilable. Trees are retained by reference, exactly like Publish.
+// PublishBatchCtx applies a batch of publishes given as trees: it encodes
+// them into one batch frame and ingests that exactly as soma.publish.batch
+// does, so in-process and wire batches share one path (see
+// publishBatchFrame). rawBytes is the wire size charged to the instances.
+// The trees are encoded, not retained: callers may reuse them.
 func (s *Service) PublishBatchCtx(ctx context.Context, entries []conduit.BatchEntry, rawBytes int) error {
-	if s.Stopped() {
-		return ErrServiceStopped
+	bp := conduit.GetEncodeBuffer()
+	frame := conduit.AppendBatchHeader(*bp)
+	for _, e := range entries {
+		frame = conduit.AppendBatchEntry(frame, e.NS, e.Tree)
 	}
-	if len(entries) == 0 {
-		return nil
-	}
-	for i := range entries {
-		ns := Namespace(entries[i].NS)
-		if _, ok := s.instances[ns]; !ok {
-			return &ErrUnknownNamespace{NS: ns}
-		}
-	}
-	now := s.cfg.Clock.Now()
-	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append.batch", start)
-	sp.SetCount(int64(len(entries))) // waterfall shows how many publishes this append covered
-	tid := sp.Context().TraceID
-	// Wire size is split evenly across entries for per-instance accounting;
-	// the remainder is charged to the first run.
-	perEntry := rawBytes / len(entries)
-	extra := rawBytes - perEntry*len(entries)
-	for i := 0; i < len(entries); {
-		j := i + 1
-		for j < len(entries) && entries[j].NS == entries[i].NS {
-			j++
-		}
-		run := entries[i:j]
-		ns := Namespace(run[0].NS)
-		in := s.instances[ns]
-		in.publishBatch(now, run, perEntry*len(run)+extra)
-		extra = 0
-		// Stream side, once per run: fold every tree into the rollup
-		// buckets, then re-judge alert rules over the union of touched
-		// series keys in a single evaluation pass.
-		if in.rollup != nil {
-			var keys []string
-			var maxT float64
-			collect := s.alerts.active()
-			for _, e := range run {
-				ks, mt := in.rollup.ingest(now, e.Tree, collect)
-				keys = append(keys, ks...)
-				if mt > maxT {
-					maxT = mt
-				}
-			}
-			if len(keys) > 0 {
-				s.alerts.evaluate(ns, in.rollup, keys, maxT)
-			}
-		}
-		if s.bus != nil && s.bus.Subscribers() > 0 {
-			for _, e := range run {
-				s.fanOut(now, ns, e.Tree)
-			}
-		}
-		i = j
-	}
-	end := time.Now()
-	telBatchLatency.ObserveTrace(end.Sub(start), tid)
-	telBatchFrames.Inc()
-	telPublishes.Add(int64(len(entries)))
-	sp.EndAt(end)
-	return nil
+	err := s.publishBatchFrame(ctx, frame, rawBytes)
+	*bp = frame
+	conduit.PutEncodeBuffer(bp)
+	return err
 }
 
 // Query returns the merged subtree at path within ns. The result is a
@@ -1229,47 +1135,28 @@ func (s *Service) handlePublish(ctx context.Context, payload []byte) ([]byte, er
 
 // handlePublishBatch serves soma.publish.batch: the payload is a conduit
 // batch frame (no {ns, data} envelope per entry — the namespace rides in
-// the batch entry itself). When nothing downstream needs materialized trees
-// it takes the raw path — validate, retain bytes, decode lazily at fold
-// time — which is what carries the harness past 10^6 publishes/sec.
+// the batch entry itself), ingested without decoding; see publishBatchFrame.
 func (s *Service) handlePublishBatch(ctx context.Context, payload []byte) ([]byte, error) {
 	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.batch.handler")
 	defer sp.End()
-	if !s.treesNeeded() {
-		if err := s.publishBatchFrame(ctx, payload); err != nil {
-			return nil, err
-		}
-		return okFrame, nil
-	}
-	entries, err := conduit.DecodeBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.PublishBatchCtx(ctx, entries, len(payload)); err != nil {
+	if err := s.publishBatchFrame(ctx, payload, len(payload)); err != nil {
 		return nil, err
 	}
 	return okFrame, nil
 }
 
-// treesNeeded reports whether batch ingest must materialize publish trees
-// inline: rollups fold every tree into series buckets and live subscribers
-// receive them, so either forces the decoded path. With rollups disabled
-// and no subscribers, ingest can retain validated wire bytes instead.
-func (s *Service) treesNeeded() bool {
-	if !s.cfg.DisableRollups {
-		return true
-	}
-	return s.bus != nil && s.bus.Subscribers() > 0
-}
-
-// publishBatchFrame is the decode-free batch ingest: every entry's framing,
-// namespace, and tree structure is verified up front (the batch is applied
-// atomically or rejected whole, like PublishBatchCtx), then one private
-// copy of the frame is retained and per-namespace runs of entry subslices
-// are appended as raw records. No publish tree is built here; the next
-// snapshot rebuild folds the bytes straight into its accumulator and
-// history reads decode on demand.
-func (s *Service) publishBatchFrame(ctx context.Context, frame []byte) error {
+// publishBatchFrame is the one batch ingest path, and it never builds a
+// publish tree. Every entry's framing, namespace, and tree structure is
+// verified up front, so a batch is applied atomically or rejected whole — a
+// half-applied batch would leave the client's Published() accounting
+// unreconcilable. Then one private copy of the frame is retained, and each
+// consecutive same-namespace run of entry subslices is appended as raw
+// records under one stripe lock and streamed (rollup fold, one alert pass,
+// fan-out of the entry bytes) straight from the wire bytes. The next
+// snapshot rebuild folds the bytes into its accumulator and history reads
+// decode on demand. rawBytes is split evenly across entries for
+// per-instance accounting; the remainder is charged to the first run.
+func (s *Service) publishBatchFrame(ctx context.Context, frame []byte, rawBytes int) error {
 	if s.Stopped() {
 		return ErrServiceStopped
 	}
@@ -1294,25 +1181,26 @@ func (s *Service) publishBatchFrame(ctx context.Context, frame []byte) error {
 	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append.batch", start)
 	sp.SetCount(int64(count))
 	tid := sp.Context().TraceID
-	// Records outlive the engine's pooled request buffer: retain one
-	// private copy of the frame and subslice every entry out of it.
+	// Records and subscribers outlive the engine's pooled request buffer:
+	// retain one private copy of the frame and subslice every entry out of
+	// it. Nothing writes to the copy afterwards.
 	buf := append([]byte(nil), frame...)
-	perEntry := len(frame) / count
-	extra := len(frame) - perEntry*count
+	perEntry := rawBytes / count
+	extra := rawBytes - perEntry*count
 	var (
 		runNS []byte
 		runIn *instance
 	)
-	encs := make([][]byte, 0, count)
+	recs := make([]record, 0, count)
 	emit := func() {
-		if runIn == nil || len(encs) == 0 {
+		if runIn == nil || len(recs) == 0 {
 			return
 		}
-		// publishBatchRaw copies the slice's elements into records before
-		// returning, so encs can be reused for the next run.
-		runIn.publishBatchRaw(now, encs, perEntry*len(encs)+extra)
+		// publish copies the records, so recs is reused for the next run.
+		runIn.publish(now, perEntry*len(recs)+extra, recs)
 		extra = 0
-		encs = encs[:0]
+		s.stream(now, Namespace(runNS), runIn, recs)
+		recs = recs[:0]
 	}
 	// Framing was verified by the scan above; this pass cannot fail.
 	_ = conduit.ForEachBatchEntry(buf, func(ns, enc []byte) error {
@@ -1321,7 +1209,7 @@ func (s *Service) publishBatchFrame(ctx context.Context, frame []byte) error {
 			runNS = ns
 			runIn = s.instances[Namespace(ns)]
 		}
-		encs = append(encs, enc)
+		recs = append(recs, record{enc: enc})
 		return nil
 	})
 	emit()

@@ -83,8 +83,8 @@ func TestMatchSeriesKey(t *testing.T) {
 		{"**/CPU Util", "PROC/cn01/CPU Util", true},
 	}
 	for _, tc := range cases {
-		if got := matchSeriesKey(tc.pattern, tc.key); got != tc.want {
-			t.Errorf("matchSeriesKey(%q, %q) = %v, want %v", tc.pattern, tc.key, got, tc.want)
+		if got := matchKey(strings.Split(tc.pattern, "/"), tc.key); got != tc.want {
+			t.Errorf("matchKey(%q, %q) = %v, want %v", tc.pattern, tc.key, got, tc.want)
 		}
 	}
 }

@@ -32,8 +32,10 @@ import (
 // transitions.
 const UpdatesBusName = "soma.updates"
 
-// telPushLatency tracks bus fan-out cost per publish (encode + enqueue to
-// every subscriber), observed only when subscribers exist.
+// telPushLatency tracks bus fan-out cost per fanned-out run — a single
+// publish, or one same-namespace run of a batch (enqueue to every
+// subscriber, plus the encode of a single publish's tree), observed only
+// when subscribers exist.
 var telPushLatency = telemetry.Default().Histogram("core.stream.push.latency")
 
 // topicPrefix maps a subscription target onto a bus topic prefix: "" = all
@@ -58,14 +60,24 @@ type updateWire struct {
 	Data []byte  `json:"data"`
 }
 
-// fanOut pushes one publish onto the update bus. Called on the ingest path
-// after the stripe append; returns immediately when nobody subscribes.
-func (s *Service) fanOut(now float64, ns Namespace, n *conduit.Node) {
+// fanOut pushes a run of ingested publishes onto the update bus. Called on
+// the ingest path after the stripe append; returns immediately when nobody
+// subscribes. A batch record's Data is its entry's subslice of the retained
+// frame copy, shared with the record and never written, so only a single
+// publish's tree is encoded here.
+func (s *Service) fanOut(now float64, ns Namespace, recs []record) {
 	if s.bus == nil || s.bus.Subscribers() == 0 {
 		return
 	}
 	start := time.Now()
-	s.bus.Publish("ns/"+string(ns)+"/", updateWire{NS: string(ns), T: now, Data: n.EncodeBinary()})
+	topic := "ns/" + string(ns) + "/"
+	for i := range recs {
+		enc := recs[i].enc
+		if enc == nil {
+			enc = recs[i].node.EncodeBinary()
+		}
+		s.bus.Publish(topic, updateWire{NS: string(ns), T: now, Data: enc})
+	}
 	telPushLatency.ObserveSince(start)
 }
 
