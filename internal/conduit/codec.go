@@ -537,13 +537,17 @@ func ForEachBatchEntry(data []byte, fn func(ns, enc []byte) error) error {
 // building a single node. A frame that validates is guaranteed to decode
 // (and MergeBinaryInto) without error, which is what lets the service defer
 // tree materialization on ingest and still reject hostile input at the door.
-func ValidateBinary(data []byte) error {
+func ValidateBinary(data []byte) error { return validate(data, false) }
+
+// validate is ValidateBinary that, with unique set, also refuses a frame in
+// which an object repeats a sibling name (ErrDuplicateName).
+func validate(data []byte, unique bool) error {
 	if len(data) < 4 || data[0] != binMagic[0] || data[1] != binMagic[1] ||
 		data[2] != binMagic[2] || data[3] != binMagic[3] {
 		return ErrBadMagic
 	}
 	r := binReader{data: data, pos: 4}
-	if err := validateNode(&r, 0, false); err != nil {
+	if err := validateNode(&r, 0, unique); err != nil {
 		return err
 	}
 	if r.pos != len(data) {
@@ -678,52 +682,70 @@ var ErrDuplicateName = errors.New("conduit: object repeats a sibling name")
 // sibling name returns ErrDuplicateName without calling fn, and the caller
 // must decode it and walk the tree instead.
 func WalkNumeric(data, buf []byte, fn func(path []byte, v float64)) ([]byte, error) {
-	if len(data) < 4 || data[0] != binMagic[0] || data[1] != binMagic[1] ||
-		data[2] != binMagic[2] || data[3] != binMagic[3] {
-		return buf, ErrBadMagic
-	}
-	r := binReader{data: data, pos: 4}
-	if err := validateNode(&r, 0, true); err != nil {
+	if err := validate(data, true); err != nil {
 		return buf, err
 	}
-	if r.pos != len(data) {
-		return buf, fmt.Errorf("conduit: %d trailing bytes", len(data)-r.pos)
-	}
-	r.pos = 4
-	return walkNumeric(&r, buf[:0], fn), nil
+	r := binReader{data: data, pos: 4}
+	buf, _ = walkLeaves(&r, buf[:0], func(path, leaf []byte) bool {
+		switch Kind(leaf[0]) {
+		case KindInt:
+			v, _ := binary.Varint(leaf[1:])
+			fn(path, float64(v))
+		case KindFloat:
+			fn(path, math.Float64frombits(binary.LittleEndian.Uint64(leaf[1:])))
+		}
+		return true
+	})
+	return buf, nil
 }
 
-// walkNumeric replays one verified node: objects extend path the way
-// Node.walk does (a '/' only after a non-empty prefix), numeric leaves go
-// to fn, and every other node is skipped.
-func walkNumeric(r *binReader, path []byte, fn func([]byte, float64)) []byte {
-	switch Kind(r.data[r.pos]) {
-	case KindObject:
-		r.pos++
-		count, _ := r.uvarint()
-		for i := uint64(0); i < count; i++ {
-			ln, _ := r.uvarint()
-			mark := len(path)
-			if mark > 0 {
-				path = append(path, '/')
-			}
-			path = append(path, r.data[r.pos:r.pos+int(ln)]...)
-			r.pos += int(ln)
-			path = walkNumeric(r, path, fn)
-			path = path[:mark]
+// FirstLeafPathBinary returns DecodeBinary(data).FirstLeafPath() — the
+// cluster's shard routing key — read from the bytes, or the decode error
+// for a frame ValidateBinary refuses. A frame repeating a sibling name is
+// decoded and asked as a tree, since DecodeBinary's merge of the siblings
+// can reorder its leaves.
+func FirstLeafPathBinary(data []byte) (string, error) {
+	if err := validate(data, true); err != nil {
+		if !errors.Is(err, ErrDuplicateName) {
+			return "", err
 		}
-	case KindInt:
-		r.pos++
-		v, _ := r.varint()
-		fn(path, float64(v))
-	case KindFloat:
-		r.pos++
-		v, _ := r.f64()
-		fn(path, v)
-	default: // a verified non-object leaf: skip it
-		_ = validateNode(r, 0, false)
+		n, err := DecodeBinary(data)
+		if err != nil {
+			return "", err
+		}
+		return n.FirstLeafPath(), nil
 	}
-	return path
+	r := binReader{data: data, pos: 4}
+	path, _ := walkLeaves(&r, nil, func(_, _ []byte) bool { return false })
+	return string(path), nil
+}
+
+// walkLeaves replays one verified node in wire order: objects extend path
+// the way Node.walk does (a '/' only after a non-empty prefix), and every
+// other node is a leaf whose encoding (kind byte first) is handed to leaf,
+// which reports whether to go on. It returns path as it stood when a leaf
+// stopped the walk, and whether the walk ran to the end.
+func walkLeaves(r *binReader, path []byte, leaf func(path, enc []byte) bool) ([]byte, bool) {
+	if Kind(r.data[r.pos]) != KindObject {
+		start := r.pos
+		_ = validateNode(r, 0, false) // verified: this only skips the leaf
+		return path, leaf(path, r.data[start:r.pos])
+	}
+	r.pos++
+	count, _ := r.uvarint()
+	for i := uint64(0); i < count; i++ {
+		name, _ := r.strSkip()
+		mark := len(path)
+		if mark > 0 {
+			path = append(path, '/')
+		}
+		more := true
+		if path, more = walkLeaves(r, append(path, name...), leaf); !more {
+			return path, false
+		}
+		path = path[:mark]
+	}
+	return path, true
 }
 
 // MergeBinaryInto merges an encoded tree frame into dst, producing exactly
@@ -735,7 +757,8 @@ func walkNumeric(r *binReader, path []byte, fn func([]byte, float64)) []byte {
 // Callers should ValidateBinary the frame first: on a malformed frame the
 // merge errors out part-way with already-walked paths applied.
 func MergeBinaryInto(dst *Node, data []byte) error {
-	return MergeBinaryIntoCached(dst, data, nil)
+	var mc MergeCache
+	return MergeBinaryIntoCached(dst, data, &mc)
 }
 
 // mergeCacheDepth bounds how many tree levels the resolution memo covers;
@@ -748,19 +771,16 @@ const mergeCacheDepth = 8
 // their ancestor path; the memo turns each shared level's map lookup into
 // a pointer-and-name compare. Per depth it remembers the last (parent,
 // child name) resolution; entries are invalidated when a cached subtree is
-// overwritten by a leaf (object→scalar reshape), and callers must Reset
-// the cache whenever they mutate the accumulator outside
-// MergeBinaryIntoCached. The accumulator must be a plain owned tree (built
-// by NewNode/Merge/MergeBinaryInto), never a copy-on-write overlay.
+// overwritten by a leaf (object→scalar reshape), so the accumulator must
+// change only through MergeBinaryIntoCached calls sharing the cache. It
+// must be a plain owned tree (built by NewNode/MergeBinaryInto), never a
+// copy-on-write overlay. The memo aliases names in the frames merged
+// through it, so those frames must not change while the cache is in use.
 type MergeCache struct {
 	parent [mergeCacheDepth]*Node
-	name   [mergeCacheDepth]string
+	name   [mergeCacheDepth][]byte
 	child  [mergeCacheDepth]*Node
 }
-
-// Reset forgets every memoized resolution; required after any mutation of
-// the accumulator that did not go through MergeBinaryIntoCached.
-func (mc *MergeCache) Reset() { *mc = MergeCache{} }
 
 // invalidateFrom drops memoized resolutions at depth d and deeper — called
 // when the node at depth d is demoted from object to leaf, orphaning the
@@ -771,13 +791,13 @@ func (mc *MergeCache) invalidateFrom(d int) {
 	}
 	for i := d; i < mergeCacheDepth; i++ {
 		mc.parent[i] = nil
-		mc.name[i] = ""
+		mc.name[i] = nil
 		mc.child[i] = nil
 	}
 }
 
 // MergeBinaryIntoCached is MergeBinaryInto with a resolution memo shared
-// across calls (see MergeCache); mc may be nil.
+// across calls (see MergeCache).
 func MergeBinaryIntoCached(dst *Node, data []byte, mc *MergeCache) error {
 	if len(data) < 4 || data[0] != binMagic[0] || data[1] != binMagic[1] ||
 		data[2] != binMagic[2] || data[3] != binMagic[3] {
@@ -808,7 +828,7 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 		return err
 	}
 	k := Kind(kb)
-	if k != KindObject && k != KindEmpty && mc != nil && dst.kind == KindObject {
+	if k != KindObject && k != KindEmpty && dst.kind == KindObject {
 		mc.invalidateFrom(depth)
 	}
 	switch k {
@@ -834,8 +854,7 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 			// The depth memo first: consecutive single-leaf frames usually
 			// share their ancestor path, making this a pointer compare
 			// instead of a map probe into a wide fan-out level.
-			if mc != nil && depth < mergeCacheDepth &&
-				mc.parent[depth] == dst && mc.name[depth] == string(nameB) {
+			if depth < mergeCacheDepth && mc.parent[depth] == dst && bytes.Equal(mc.name[depth], nameB) {
 				if err := mergeNode(r, mc.child[depth], depth+1, mc); err != nil {
 					return err
 				}
@@ -849,7 +868,13 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 			}
 			dst.flatten()
 			if dst.children == nil {
-				dst.children = make(map[string]*Node)
+				// A fresh object takes this frame's remaining children
+				// without regrowing its map and order. Every child costs at
+				// least two bytes, which bounds the size an unvalidated
+				// frame can ask for.
+				hint := min(count-i, uint64(len(r.data)-r.pos)/2+1)
+				dst.children = make(map[string]*Node, hint)
+				dst.order = make([]string, 0, hint)
 			}
 			c, ok := dst.children[string(nameB)]
 			if !ok {
@@ -858,9 +883,9 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 				dst.children[name] = c
 				dst.order = append(dst.order, name)
 			}
-			if mc != nil && depth < mergeCacheDepth {
+			if depth < mergeCacheDepth {
 				mc.parent[depth] = dst
-				mc.name[depth] = string(nameB) // copy on memo refresh only
+				mc.name[depth] = nameB
 				mc.child[depth] = c
 			}
 			if err := mergeNode(r, c, depth+1, mc); err != nil {

@@ -13,7 +13,8 @@ import (
 // fixpoint). Every accepted entry's WalkNumeric leaves must equal the
 // numeric leaves of DecodeBinary+WalkBytes, except that an entry repeating
 // a sibling name must be refused with ErrDuplicateName (the caller's cue to
-// decode instead).
+// decode instead), and its byte-level routing key must equal the decoded
+// tree's FirstLeafPath.
 func FuzzDecodeBatch(f *testing.F) {
 	// Valid frames: empty batch, one entry, a multi-namespace run.
 	f.Add(AppendBatchHeader(nil))
@@ -102,6 +103,10 @@ func FuzzDecodeBatch(f *testing.F) {
 					t.Fatalf("entry %d: MergeBinaryInto differs from Merge of decoded tree", scanned)
 				}
 				checkWalkNumeric(t, scanned, enc, entries[scanned].Tree)
+				if key, kerr := FirstLeafPathBinary(enc); kerr != nil || key != entries[scanned].Tree.FirstLeafPath() {
+					t.Fatalf("entry %d: routing key %q (err %v), decoded tree's first leaf %q",
+						scanned, key, kerr, entries[scanned].Tree.FirstLeafPath())
+				}
 				if merr := MergeBinaryIntoCached(accCached, enc, &mc); merr != nil {
 					t.Fatalf("entry %d cached wire-merge failed on validated bytes: %v", scanned, merr)
 				}
@@ -244,6 +249,12 @@ func dupNameFrames() [][]byte {
 	nested = intLeaf(nested, "x", 1)
 	nested = appendUvarint(append(appendString(nested, "x"), byte(KindObject)), 1)
 	nested = intLeaf(nested, "y", 2)
+	// {a: {}, b: 1, a: {y: 2}}: the merge makes a/y the first leaf, where
+	// wire order would reach b first.
+	reorder := appendUvarint(append(appendString(objFrame(3), "a"), byte(KindObject)), 0)
+	reorder = intLeaf(reorder, "b", 1)
+	reorder = appendUvarint(append(appendString(reorder, "a"), byte(KindObject)), 1)
+	reorder = intLeaf(reorder, "y", 2)
 	// More children than the validator's on-stack name buffer holds.
 	wide := objFrame(12)
 	for i := 0; i < 11; i++ {
@@ -253,7 +264,7 @@ func dupNameFrames() [][]byte {
 	// The second "a" carries an overlong (two-byte) length prefix.
 	overlong := intLeaf(objFrame(2), "a", 1)
 	overlong = appendVarint(append(append(overlong, 0x81, 0x00, 'a'), byte(KindInt)), 2)
-	return [][]byte{flat, nested, wide, overlong}
+	return [][]byte{flat, nested, wide, overlong, reorder}
 }
 
 // TestWalkNumericNoAlloc pins the walk's zero-allocation contract once its
@@ -305,5 +316,37 @@ func TestWalkNumericDuplicateNames(t *testing.T) {
 		if !hasDupNames(enc) {
 			t.Fatalf("frame %d has no duplicate name", i)
 		}
+	}
+}
+
+// TestFirstLeafPathBinary pins the routing key on the shapes where wire
+// order and tree order could part: an empty object ahead of the first leaf,
+// a duplicate name whose merge reorders leaves, a leaf root and a corrupt
+// frame.
+func TestFirstLeafPathBinary(t *testing.T) {
+	skip := appendUvarint(append(appendString(objFrame(2), "e"), byte(KindObject)), 0)
+	skip = appendUvarint(append(appendString(skip, "x"), byte(KindObject)), 1)
+	skip = intLeaf(skip, "y", 1)
+	dups := dupNameFrames()
+	for _, tc := range []struct {
+		enc  []byte
+		want string
+	}{
+		{skip, "x/y"},
+		{dups[len(dups)-1], "a/y"},
+		{NewNode().EncodeBinary(), ""},
+		{emptyNameFrame(), ""},
+	} {
+		tree, err := DecodeBinary(tc.enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FirstLeafPathBinary(tc.enc)
+		if err != nil || got != tc.want || tree.FirstLeafPath() != tc.want {
+			t.Errorf("key %q (err %v), tree %q, want %q", got, err, tree.FirstLeafPath(), tc.want)
+		}
+	}
+	if _, err := FirstLeafPathBinary(skip[:len(skip)-1]); err == nil {
+		t.Error("truncated frame yielded a routing key")
 	}
 }

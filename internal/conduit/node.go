@@ -584,6 +584,14 @@ func (n *Node) walk(buf []byte, fn func([]byte, *Node) bool) bool {
 	return true
 }
 
+// FirstLeafPath returns the path of the first leaf Walk visits ("" when n
+// is itself a leaf or holds none). It is the cluster's shard routing key: a
+// multi-leaf publish routes as a unit by its first leaf.
+func (n *Node) FirstLeafPath() (path string) {
+	n.Walk(func(p string, _ *Node) bool { path = p; return false })
+	return path
+}
+
 // Leaves returns the paths of every leaf under n in insertion order.
 func (n *Node) Leaves() []string {
 	var out []string

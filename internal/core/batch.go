@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -224,11 +223,19 @@ func (co *coalescer) adaptAge(ack time.Duration) {
 	co.ageNs.Store(int64(next))
 }
 
-// append encodes one publish into the pending batch. Exactly one of n and
-// enc is set (enc is a pre-encoded tree frame, copied verbatim). When the
-// buffer has outgrown the overfill bound it applies backpressure: the
-// caller helps flush inline (serialized behind the flusher on sendMu) and
-// retries, so a publisher outrunning the wire slows to the wire's pace
+// appendPublish appends one publish entry to a batch frame. Exactly one of
+// n and enc is set (enc is a pre-encoded tree frame, copied verbatim).
+func appendPublish(dst []byte, ns Namespace, n *conduit.Node, enc []byte) []byte {
+	if n != nil {
+		return conduit.AppendBatchEntry(dst, string(ns), n)
+	}
+	return conduit.AppendBatchEntryEncoded(dst, string(ns), enc)
+}
+
+// append encodes one publish into the pending batch (see appendPublish).
+// When the buffer has outgrown the overfill bound it applies backpressure:
+// the caller helps flush inline (serialized behind the flusher on sendMu)
+// and retries, so a publisher outrunning the wire slows to the wire's pace
 // instead of erroring — the synchronous-publish contract.
 func (co *coalescer) append(ns Namespace, n *conduit.Node, enc []byte) error {
 retry:
@@ -247,11 +254,7 @@ retry:
 		co.firstAt = time.Now()
 		co.ageTimer.Reset(co.ageBound())
 	}
-	if n != nil {
-		co.buf = conduit.AppendBatchEntry(co.buf, string(ns), n)
-	} else {
-		co.buf = conduit.AppendBatchEntryEncoded(co.buf, string(ns), enc)
-	}
+	co.buf = appendPublish(co.buf, ns, n, enc)
 	co.leaves++
 	full := co.leaves >= co.cfg.MaxLeaves || len(co.buf) >= co.cfg.MaxBytes
 	if full && co.cause == flushCauseNone {
@@ -325,8 +328,8 @@ func (co *coalescer) flushFor(reason int) {
 		cause = reason
 	}
 
-	err := co.c.sendBatch(buf, leaves)
-	// The transport is done with buf once sendBatch returns; recycle it for
+	err := co.c.send(RPCPublishBatch, "soma.client.publish.batch", buf, leaves)
+	// The transport is done with buf once send returns; recycle it for
 	// the next swap (which cannot happen before sendMu is released, so
 	// spillLocked below still copies intact bytes).
 	co.spareBuf = buf[:0]
@@ -390,19 +393,4 @@ func (co *coalescer) shutdown() {
 	co.mu.Lock()
 	co.spill.wake() // release DrainSpill waiters; the queue is stranded
 	co.mu.Unlock()
-}
-
-// sendBatch performs the batch RPC for one encoded frame carrying leaves
-// publishes; on success every one of them is counted at acknowledgement.
-func (c *Client) sendBatch(frame []byte, leaves int) error {
-	ctx, sp := telemetry.StartSpan(context.Background(), "soma.client.publish.batch")
-	_, err := c.ep.Call(ctx, RPCPublishBatch, frame)
-	if err != nil {
-		sp.Fail()
-	}
-	sp.End()
-	if err == nil {
-		c.published.Add(int64(leaves))
-	}
-	return err
 }

@@ -17,8 +17,8 @@ import (
 // component's address space (monitor daemons, the TAU plugin, application
 // tasks) and needs no resources of its own.
 //
-// Published trees are handed over to the service; callers must not mutate a
-// tree after publishing it.
+// Publish encodes a tree before it returns (onto the wire, or into the
+// pending batch), so callers may reuse or mutate the tree afterwards.
 type Client struct {
 	ep *mercury.Endpoint
 	// addr, engine and policy remember how the endpoint was resolved so
@@ -110,7 +110,7 @@ func (c *Client) Publish(ns Namespace, n *conduit.Node) error {
 	if co := c.coal.Load(); co != nil {
 		return co.append(ns, n, nil)
 	}
-	return c.sendPublish(ns, n)
+	return c.sendPublish(ns, n, nil)
 }
 
 // Flush blocks until every publish batched before the call has been sent
@@ -135,7 +135,8 @@ func (c *Client) Flush() error {
 // The frame is validated up front and then copied into the pending batch,
 // so it is not retained past the call; the caller must still not mutate it
 // afterwards, because the validation memo below is keyed by the slice.
-// Without batching enabled the frame is decoded and published synchronously.
+// Without batching enabled the frame is published synchronously, copied
+// verbatim into a one-entry batch frame.
 func (c *Client) PublishEncoded(ns Namespace, enc []byte) error {
 	if err := c.validateEncoded(enc); err != nil {
 		return err
@@ -143,11 +144,7 @@ func (c *Client) PublishEncoded(ns Namespace, enc []byte) error {
 	if co := c.coal.Load(); co != nil {
 		return co.append(ns, nil, enc)
 	}
-	n, err := conduit.DecodeBinary(enc)
-	if err != nil {
-		return err
-	}
-	return c.sendPublish(ns, n)
+	return c.sendPublish(ns, nil, enc)
 }
 
 // encSeenMax bounds the validated-frame memo; past it the memo is dropped
@@ -181,23 +178,26 @@ func (c *Client) validateEncoded(enc []byte) error {
 	return nil
 }
 
-// sendPublish performs one synchronous wire publish.
-func (c *Client) sendPublish(ns Namespace, n *conduit.Node) error {
-	// Every publish is the root of a trace: the span's ids travel in the
-	// mercury frame header, so the service-side handler and stripe append
-	// record child spans of this one (client → wire → stripe append).
-	ctx, sp := telemetry.StartSpan(context.Background(), "soma.client.publish")
-	// Zero-copy envelope: the published tree is grafted under "data" by
-	// reference rather than deep-merged — callers handed it over at Publish
-	// and may not mutate it, so encoding can read it in place. The wire
-	// buffer is pooled; both transports finish with it before returning.
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.Attach("data", n)
+// sendPublish performs one synchronous wire publish: a batch frame of one
+// entry on soma.publish, in a pooled buffer both transports are done with
+// when the call returns. Exactly one of n and enc is set, as for
+// appendPublish.
+func (c *Client) sendPublish(ns Namespace, n *conduit.Node, enc []byte) error {
 	buf := conduit.GetEncodeBuffer()
-	*buf = req.AppendBinary(*buf)
-	_, err := c.ep.Call(ctx, RPCPublish, *buf)
+	*buf = appendPublish(conduit.AppendBatchHeader(*buf), ns, n, enc)
+	err := c.send(RPCPublish, "soma.client.publish", *buf, 1)
 	conduit.PutEncodeBuffer(buf)
+	return err
+}
+
+// send performs one publish RPC for a batch frame carrying leaves publishes;
+// on success every one of them is counted at acknowledgement. Every send is
+// the root of a trace named span: its ids travel in the mercury frame
+// header, so the service-side handler and stripe append record child spans
+// of it (client → wire → stripe append).
+func (c *Client) send(rpc, span string, frame []byte, leaves int) error {
+	ctx, sp := telemetry.StartSpan(context.Background(), span)
+	_, err := c.ep.Call(ctx, rpc, frame)
 	if err != nil {
 		// A failed publish is an error trace: the tail sampler always keeps
 		// those, so the failure is inspectable via soma.trace.get afterwards.
@@ -205,7 +205,7 @@ func (c *Client) sendPublish(ns Namespace, n *conduit.Node) error {
 	}
 	sp.End()
 	if err == nil {
-		c.published.Add(1)
+		c.published.Add(int64(leaves))
 	}
 	return err
 }

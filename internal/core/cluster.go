@@ -393,29 +393,30 @@ func (s *Service) handleRing(_ context.Context, _ []byte) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Write placement: ownership check + one-hop forward.
 
-// firstLeafPath returns the publish tree's first leaf path — the shard
-// routing key. Multi-leaf publishes route as a unit by their first leaf.
-func firstLeafPath(n *conduit.Node) string {
-	var path string
-	n.Walk(func(p string, _ *conduit.Node) bool {
-		path = p
-		return false
-	})
-	return path
-}
-
-// forwardPublish routes one publish to its owning peer. done=true means the
-// owner accepted (or definitively rejected) it and err is the final answer;
+// forwardPublish routes a single publish — a one-entry batch frame — to its
+// owning peer, relaying the frame verbatim. done=true means the owner
+// accepted (or definitively rejected) it and err is the final answer;
 // done=false means the caller should ingest locally — either this instance
-// owns the key, or the owner is unreachable and local ingest is the
-// no-loss fallback (scattered reads will still find the data).
-func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, n *conduit.Node) (done bool, err error) {
+// owns the key, the frame is not a valid single publish into a known
+// namespace (local ingest refuses it with the precise error), or the owner
+// is unreachable and local ingest is the no-loss fallback (scattered reads
+// will still find the data).
+func (cl *svcCluster) forwardPublish(ctx context.Context, frame []byte) (done bool, err error) {
 	ring := cl.tracker.Ring()
 	if ring.Len() < 2 {
 		return false, nil
 	}
-	leaf := firstLeafPath(n)
-	if leaf == "" {
+	var ns, enc []byte
+	entries := 0
+	if err := conduit.ForEachBatchEntry(frame, func(n, e []byte) error {
+		ns, enc = n, e
+		entries++
+		return nil
+	}); err != nil || entries != 1 || cl.svc.instances[Namespace(ns)] == nil {
+		return false, nil
+	}
+	leaf, err := conduit.FirstLeafPathBinary(enc)
+	if err != nil || leaf == "" {
 		return false, nil
 	}
 	owner, ok := ring.Owner(cluster.ShardKey(string(ns), leaf))
@@ -427,13 +428,7 @@ func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, n *condu
 		telForwardFallback.Inc()
 		return false, nil
 	}
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.Attach("data", n)
-	buf := conduit.GetEncodeBuffer()
-	*buf = req.AppendBinary(*buf)
-	_, err = ep.Call(ctx, RPCPublishLocal, *buf)
-	conduit.PutEncodeBuffer(buf)
+	_, err = ep.Call(ctx, RPCPublishLocal, frame)
 	if err == nil {
 		telForwards.Inc()
 		return true, nil
@@ -448,24 +443,13 @@ func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, n *condu
 }
 
 // handlePublishLocal ingests a forwarded publish on the owning instance —
-// same envelope as soma.publish, but never re-forwards, so two instances
-// with diverged rings cannot bounce a publish between them.
+// the same one-entry batch frame as soma.publish, but never re-forwarded,
+// so two instances with diverged rings cannot bounce a publish between
+// them.
 func (s *Service) handlePublishLocal(ctx context.Context, payload []byte) ([]byte, error) {
 	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.local.handler")
 	defer sp.End()
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := req.Get("data")
-	if !ok {
-		return nil, fmt.Errorf("soma: publish missing data")
-	}
-	if err := s.publishLocalCtx(ctx, ns, data, len(payload)); err != nil {
+	if err := s.publishOne(ctx, payload, len(payload), false); err != nil {
 		return nil, err
 	}
 	return okFrame, nil
@@ -580,7 +564,10 @@ func (s *Service) handleHandoff(ctx context.Context, payload []byte) ([]byte, er
 	if !ok {
 		return okFrame, nil
 	}
-	if err := s.publishLocalCtx(ctx, ns, data, len(payload)); err != nil {
+	// Handoff is cold (once per rebalance), so the leaves are re-encoded as
+	// a one-entry frame and ingested like any publish, never re-forwarded.
+	frame := conduit.AppendBatchEntry(conduit.AppendBatchHeader(nil), string(ns), data)
+	if err := s.publishOne(ctx, frame, len(payload), false); err != nil {
 		return nil, err
 	}
 	telHandoffRecv.Inc()

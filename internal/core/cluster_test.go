@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -422,5 +424,136 @@ func BenchmarkScatterGatherQuery(b *testing.B) {
 		if _, err := c.Query(NSHardware, ""); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Hostile single publishes: soma.publish and soma.publish.local take a batch
+// frame of exactly one entry, and soma.handoff checks its ring epoch before
+// ingesting. Every refusal carries a typed error and leaves the publish
+// counters untouched — on a solo service and on a member of a live fleet,
+// where soma.publish would otherwise forward. An entry repeating a sibling
+// name is accepted and means what DecodeBinary makes of it.
+func TestSinglePublishRejectsHostileFrames(t *testing.T) {
+	one := func(ns string, enc []byte) []byte {
+		return conduit.AppendBatchEntryEncoded(conduit.AppendBatchHeader(nil), ns, enc)
+	}
+	leaf := conduit.NewNode()
+	leaf.SetFloat("PROC/cn01/s00", 1)
+	good := leaf.EncodeBinary()
+	legacy := conduit.NewNode()
+	legacy.SetString("ns", string(NSHardware))
+	legacy.Attach("data", leaf)
+	badMagic := append([]byte(nil), good...)
+	badMagic[0] = 'X'
+	var (
+		unknownNS *ErrUnknownNamespace
+		isUnknown = func(err error) bool { return errors.As(err, &unknownNS) }
+		is        = func(target error) func(error) bool {
+			return func(err error) bool { return errors.Is(err, target) }
+		}
+	)
+	refusals := []struct {
+		name  string
+		frame []byte
+		ok    func(error) bool
+	}{
+		{"legacy-envelope", legacy.EncodeBinary(), is(conduit.ErrBadMagic)},
+		{"zero-entries", conduit.AppendBatchHeader(nil), is(ErrNotSinglePublish)},
+		{"two-entries", conduit.AppendBatchEntryEncoded(one(string(NSHardware), good), string(NSHardware), good), is(ErrNotSinglePublish)},
+		{"unknown-namespace", one("bogus", good), isUnknown},
+		{"truncated-tree", one(string(NSHardware), good[:len(good)-3]), is(conduit.ErrTruncated)},
+		{"truncated-frame", one(string(NSHardware), good)[:12], is(conduit.ErrTruncated)},
+		{"bad-tree-magic", one(string(NSHardware), badMagic), is(conduit.ErrBadMagic)},
+	}
+	solo, _ := newTestService(t, ServiceConfig{})
+	fleet, _ := startFleet(t, 2)
+	publishes := func(svcs ...*Service) (n int64) {
+		for _, s := range svcs {
+			for _, st := range s.Stats() {
+				n += st.Publishes
+			}
+		}
+		return n
+	}
+	for _, target := range []struct {
+		name string
+		svcs []*Service
+	}{{"solo", []*Service{solo}}, {"fleet", fleet}} {
+		svc := target.svcs[0]
+		for _, h := range []struct {
+			rpc string
+			fn  func(context.Context, []byte) ([]byte, error)
+		}{{RPCPublish, svc.handlePublish}, {RPCPublishLocal, svc.handlePublishLocal}} {
+			for _, c := range refusals {
+				before := publishes(target.svcs...)
+				if _, err := h.fn(context.Background(), c.frame); !c.ok(err) {
+					t.Errorf("%s %s %s: err %v", target.name, h.rpc, c.name, err)
+				}
+				if after := publishes(target.svcs...); after != before {
+					t.Errorf("%s %s %s: refusal moved publishes %d -> %d", target.name, h.rpc, c.name, before, after)
+				}
+			}
+			before := publishes(target.svcs...)
+			if _, err := h.fn(context.Background(), one(string(NSHardware), dupNameEntry())); err != nil {
+				t.Fatalf("%s %s: duplicate-name entry refused: %v", target.name, h.rpc, err)
+			}
+			if after := publishes(target.svcs...); after != before+1 {
+				t.Errorf("%s %s: duplicate-name entry moved publishes %d -> %d, want +1", target.name, h.rpc, before, after)
+			}
+		}
+		// The duplicate-name entry lands as its merged tree wherever it was
+		// placed.
+		found := false
+		for _, s := range target.svcs {
+			q, err := s.Query(NSHardware, "PROC/cn09")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := q.Int("s00"); ok {
+				found = true
+				if w, _ := q.Int("s01"); v != 2 || w != 3 {
+					t.Errorf("%s: merged duplicate entry reads s00=%d s01=%d, want 2 and 3", target.name, v, w)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: duplicate-name entry not queryable", target.name)
+		}
+	}
+
+	// soma.handoff: the epoch is checked before anything is ingested, and a
+	// current frame is ingested where it arrives, never forwarded.
+	svc := fleet[0]
+	epoch, _ := svc.ClusterRing()
+	handoff := func(epoch uint64, data *conduit.Node) []byte {
+		req := conduit.NewNode()
+		req.SetInt("epoch", int64(epoch))
+		req.SetString("ns", string(NSHardware))
+		req.Attach("data", data)
+		return req.EncodeBinary()
+	}
+	current := handoff(epoch, leaf)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		ok      func(error) bool
+	}{
+		{"stale-epoch", handoff(epoch+1, leaf), is(ErrStaleRingEpoch)},
+		{"invalid-data", current[:len(current)-3], is(conduit.ErrTruncated)},
+	} {
+		before := publishes(svc)
+		if _, err := svc.handleHandoff(context.Background(), c.payload); !c.ok(err) {
+			t.Errorf("handoff %s: err %v", c.name, err)
+		}
+		if after := publishes(svc); after != before {
+			t.Errorf("handoff %s: refusal moved publishes %d -> %d", c.name, before, after)
+		}
+	}
+	before := publishes(svc)
+	if _, err := svc.handleHandoff(context.Background(), current); err != nil {
+		t.Fatalf("current handoff refused: %v", err)
+	}
+	if after := publishes(svc); after != before+1 {
+		t.Errorf("current handoff moved local publishes %d -> %d, want +1", before, after)
 	}
 }

@@ -221,7 +221,7 @@ func (c *ClusterClient) ownerClient(ns Namespace, leafPath string) (*Client, err
 // Publish routes a tree to the instance owning its first leaf's shard key.
 // Multi-leaf trees route as a unit, exactly like server-side placement.
 func (c *ClusterClient) Publish(ns Namespace, n *conduit.Node) error {
-	cl, err := c.ownerClient(ns, firstLeafPath(n))
+	cl, err := c.ownerClient(ns, n.FirstLeafPath())
 	if err != nil {
 		return err
 	}

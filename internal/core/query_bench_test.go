@@ -112,15 +112,15 @@ func BenchmarkSnapshotRebuild(b *testing.B) {
 	svc := NewService(ServiceConfig{RanksPerNamespace: 8})
 	defer svc.Close()
 	in := svc.instances[NSHardware]
-	trees := make([]*conduit.Node, hosts*8)
-	for i := range trees {
-		trees[i] = benchTree(fmt.Sprintf("cn%04d", i%hosts), int64(i))
+	encs := make([][]byte, hosts*8)
+	for i := range encs {
+		encs[i] = benchTree(fmt.Sprintf("cn%04d", i%hosts), int64(i)).EncodeBinary()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, tr := range trees {
-			in.publish(float64(i), 0, []record{{node: tr}})
+		for _, enc := range encs {
+			in.publish(float64(i), 0, []record{{enc: enc}})
 		}
 		if sn := in.currentSnapshot(); sn.tree.NumLeaves() == 0 {
 			b.Fatal("empty snapshot")

@@ -445,7 +445,7 @@ func TestFoldRecordsParallelEquivalence(t *testing.T) {
 			n := conduit.NewNode()
 			n.SetFloat(fmt.Sprintf("PROC/cn%04d/util", k), float64(round*1000+k))
 			n.SetInt(fmt.Sprintf("PROC/cn%04d/round", k), int64(round))
-			pend = append(pend, record{seq: seq, node: n})
+			pend = append(pend, record{seq: seq, enc: n.EncodeBinary()})
 		}
 	}
 	// dirty=1 forces the sequential path; dirty=8 the parallel one.

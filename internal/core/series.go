@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/mercury"
@@ -249,6 +250,7 @@ type seriesStore struct {
 	count     int // total series across shards; guarded by countMu
 	countMu   sync.Mutex
 	shards    [seriesShards]seriesShard
+	spare     atomic.Pointer[seriesIngest] // see ingester
 }
 
 func newSeriesStore(maxSeries int) *seriesStore {
@@ -358,7 +360,7 @@ func splitSeriesPathBytes(path []byte, arrival float64, scratch []byte) (key []b
 // store. keys collects the touched series keys for alert evaluation (the
 // store's own strings, so collecting allocates nothing) when collect is
 // set; maxT is the newest sample time seen. The walk, key and timestamp
-// buffers are reused across leaves and publishes.
+// buffers are reused across leaves, publishes and runs (see ingester).
 type seriesIngest struct {
 	st      *seriesStore
 	arrival float64
@@ -368,6 +370,22 @@ type seriesIngest struct {
 	walk    []byte
 	scratch []byte
 }
+
+// ingester starts the fold of one run of publishes. It reuses the buffers
+// of the last released ingester (a concurrent run finding none starts
+// empty), so a warm run of one publish folds without allocating.
+func (st *seriesStore) ingester(arrival float64, collect bool) *seriesIngest {
+	g := st.spare.Swap(nil)
+	if g == nil {
+		g = new(seriesIngest)
+	}
+	*g = seriesIngest{st: st, arrival: arrival, maxT: arrival, collect: collect,
+		keys: g.keys[:0], walk: g.walk[:0], scratch: g.scratch[:0]}
+	return g
+}
+
+// release returns g's buffers for the next run; g must not be used after.
+func (st *seriesStore) release(g *seriesIngest) { st.spare.Store(g) }
 
 func (g *seriesIngest) leaf(path []byte, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {

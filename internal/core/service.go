@@ -112,35 +112,20 @@ type InstanceStats struct {
 	LastTime  float64
 }
 
-// record is one raw publish as stored in a stripe's history ring. seq gives
-// the global arrival order within the instance (ring entries from different
-// stripes are re-interleaved by seq when history is read). Exactly one of
-// node and enc is set: a single publish keeps its tree, while every batch
-// entry is stored as its validated wire bytes (subslices of one shared,
-// immutable frame copy) and never materialized on ingest — the rollup fold,
-// alert keys and subscriber fan-out read the bytes, and only the snapshot
-// fold or a history read decodes. Thousands of pending single-leaf
-// publishes then cost the garbage collector a handful of flat byte buffers
-// instead of a map-and-string forest.
+// record is one publish as stored in a stripe's history ring. seq gives the
+// global arrival order within the instance (ring entries from different
+// stripes are re-interleaved by seq when history is read). Every publish —
+// a batch entry or a single publish, which arrives as a one-entry batch
+// frame — is stored as its validated tree-frame bytes (a subslice of one
+// immutable copy of its frame) and never materialized on ingest: the
+// rollup fold, alert keys and subscriber fan-out read the bytes, and only
+// the snapshot fold or a history read decodes. Thousands of pending
+// single-leaf publishes then cost the garbage collector a handful of flat
+// byte buffers instead of a map-and-string forest.
 type record struct {
 	time float64
 	seq  uint64
-	node *conduit.Node
 	enc  []byte
-}
-
-// tree returns the record's publish tree, decoding lazily on the raw path.
-// enc was ValidateBinary'd at ingest, so decode failure is impossible; a
-// zero record decodes to nil.
-func (r *record) tree() *conduit.Node {
-	if r.node != nil || r.enc == nil {
-		return r.node
-	}
-	n, err := conduit.DecodeBinary(r.enc)
-	if err != nil {
-		return conduit.NewNode() // unreachable: enc is pre-validated
-	}
-	return n
 }
 
 // stripe is one lock-striped shard of an instance: a publish appends here in
@@ -424,22 +409,16 @@ const (
 // record merge only where a path flips between leaf and object across the
 // batch, the same caveat batch folding itself already carries).
 //
-// The accumulator is a plain mutable tree fed by Merge (which copies record
-// subtrees, never aliases them), not a MergeCOW overlay chain: the batch
-// tree is private until it is grafted onto the snapshot, so per-record CoW
-// bookkeeping is pure overhead — and at high-rate single-leaf ingest the
-// overlay chains it builds made folding a drained batch quadratic.
+// The accumulator is a plain mutable tree fed straight from each record's
+// wire bytes (MergeBinaryIntoCached copies, never aliases), not a MergeCOW
+// overlay chain: the batch tree is private until it is grafted onto the
+// snapshot, so per-record CoW bookkeeping is pure overhead — and at
+// high-rate single-leaf ingest the overlay chains it builds made folding a
+// drained batch quadratic. The merge cache memoizes shared ancestor paths
+// across consecutive records.
 func foldRecords(pend []record, dirty int) *conduit.Node {
 	if dirty <= mergeParallelStripes || len(pend) < mergeParallelMinRecords {
-		if len(pend) == 0 {
-			return nil
-		}
-		batch := conduit.NewNode()
-		var mc conduit.MergeCache
-		for _, r := range pend {
-			foldRecord(batch, &r, &mc)
-		}
-		return batch
+		return foldRun(pend)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > mergeMaxWorkers {
@@ -463,12 +442,7 @@ func foldRecords(pend []record, dirty int) *conduit.Node {
 		wg.Add(1)
 		go func(w int, recs []record) {
 			defer wg.Done()
-			part := conduit.NewNode()
-			var mc conduit.MergeCache
-			for _, r := range recs {
-				foldRecord(part, &r, &mc)
-			}
-			partials[w] = part
+			partials[w] = foldRun(recs)
 		}(w, pend[lo:hi])
 	}
 	wg.Wait()
@@ -483,19 +457,15 @@ func foldRecords(pend []record, dirty int) *conduit.Node {
 	return batch
 }
 
-// foldRecord merges one pending record into the private fold accumulator:
-// decoded records through Merge, raw records straight from their wire bytes
-// with no intermediate tree. The merge cache memoizes shared ancestor paths
-// across consecutive raw records; a Merge mutates the accumulator behind
-// the cache's back, so it resets the memo.
-func foldRecord(batch *conduit.Node, r *record, mc *conduit.MergeCache) {
-	if r.enc != nil {
+// foldRun merges a seq-ordered run of records into a fresh accumulator.
+func foldRun(recs []record) *conduit.Node {
+	acc := conduit.NewNode()
+	var mc conduit.MergeCache
+	for i := range recs {
 		// enc was validated at ingest; an error here is unreachable.
-		_ = conduit.MergeBinaryIntoCached(batch, r.enc, mc)
-		return
+		_ = conduit.MergeBinaryIntoCached(acc, recs[i].enc, &mc)
 	}
-	mc.Reset()
-	batch.Merge(r.node)
+	return acc
 }
 
 // query returns the merged subtree at path. The result is part of the
@@ -611,7 +581,8 @@ func (in *instance) historySince(after float64) ([]*conduit.Node, []float64) {
 	nodes := make([]*conduit.Node, len(recs))
 	times := make([]float64, len(recs))
 	for i, r := range recs {
-		nodes[i] = r.tree()
+		// enc was validated at ingest, so the decode cannot fail.
+		nodes[i], _ = conduit.DecodeBinary(r.enc)
 		times[i] = r.time
 	}
 	return nodes, times
@@ -852,8 +823,7 @@ func (s *Service) instanceFor(ns Namespace) (*instance, error) {
 // Publish ingests a tree into a namespace directly (the local call path of
 // the client stub; also what the in-proc simulated experiments use after
 // RPC framing). rawBytes is the wire size for accounting (0 for local).
-// The tree is retained by reference: callers hand it over and must not
-// mutate it afterwards.
+// The tree is encoded before Publish returns, so callers may reuse it.
 func (s *Service) Publish(ns Namespace, n *conduit.Node, rawBytes int) error {
 	return s.PublishCtx(context.Background(), ns, n, rawBytes)
 }
@@ -861,46 +831,36 @@ func (s *Service) Publish(ns Namespace, n *conduit.Node, rawBytes int) error {
 // PublishCtx is Publish with trace propagation: when ctx carries an active
 // trace (an RPC publish whose client sent trace ids, or a caller that
 // started a span), the stripe append is recorded as a child span, so one
-// publish can be followed client → wire → stripe append. Untraced callers
-// pay one context lookup and a histogram observation.
+// publish can be followed client → wire → stripe append. The tree is
+// encoded into a pooled one-entry batch frame and ingested exactly as
+// soma.publish ingests its frame (see publishOne).
 func (s *Service) PublishCtx(ctx context.Context, ns Namespace, n *conduit.Node, rawBytes int) error {
-	if cl := s.cl.Load(); cl != nil {
-		if done, err := cl.forwardPublish(ctx, ns, n); done {
+	bp := conduit.GetEncodeBuffer()
+	frame := conduit.AppendBatchEntry(conduit.AppendBatchHeader(*bp), string(ns), n)
+	err := s.publishOne(ctx, frame, rawBytes, true)
+	*bp = frame
+	conduit.PutEncodeBuffer(bp)
+	return err
+}
+
+// ErrNotSinglePublish rejects a single-publish frame (soma.publish,
+// soma.publish.local) that does not hold exactly one batch entry.
+var ErrNotSinglePublish = errors.New("soma: a single publish must be a batch frame of exactly one entry")
+
+// publishOne is the one single-publish ingest path: soma.publish,
+// soma.publish.local, handoff and PublishCtx all hand it a batch frame that
+// must hold exactly one entry. With forward set on a clustered service, an
+// entry whose shard key a live peer owns is relayed there verbatim (see
+// forwardPublish); otherwise publishBatchFrame ingests it.
+func (s *Service) publishOne(ctx context.Context, frame []byte, rawBytes int, forward bool) error {
+	if cl := s.cl.Load(); forward && cl != nil {
+		if done, err := cl.forwardPublish(ctx, frame); done {
 			return err
 		}
 		// Not forwarded: this instance owns the key, or the owner is
 		// unreachable — ingest locally, scattered reads still find it.
 	}
-	return s.publishLocalCtx(ctx, ns, n, rawBytes)
-}
-
-// publishLocalCtx ingests into this instance's own stores unconditionally —
-// the under-the-ring half of PublishCtx, and the ingest path for forwarded
-// publishes and handoff frames (which must never re-forward).
-func (s *Service) publishLocalCtx(ctx context.Context, ns Namespace, n *conduit.Node, rawBytes int) error {
-	if s.Stopped() {
-		return ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
-	if err != nil {
-		return err
-	}
-	// The span shares the histogram's two clock reads, so tracing adds no
-	// extra time.Now on this hot path (see make telemetry-overhead).
-	now := s.cfg.Clock.Now()
-	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append", start)
-	tid := sp.Context().TraceID // before EndAt: the span is pooled after it
-	recs := []record{{node: n}}
-	in.publish(now, rawBytes, recs)
-	end := time.Now()
-	// ObserveTrace stamps the latency bucket with this trace id, so a p99
-	// exemplar in soma.telemetry links straight to a kept trace.
-	telPubLatency.ObserveTrace(end.Sub(start), tid)
-	telPublishes.Inc()
-	sp.EndAt(end)
-	s.stream(now, ns, in, recs)
-	return nil
+	return s.publishBatchFrame(ctx, frame, rawBytes, true)
 }
 
 // stream is the stream side of ingest for one run of same-namespace
@@ -910,17 +870,14 @@ func (s *Service) publishLocalCtx(ctx context.Context, ns Namespace, n *conduit.
 // an atomic check when unused.
 func (s *Service) stream(now float64, ns Namespace, in *instance, recs []record) {
 	if in.rollup != nil {
-		g := seriesIngest{st: in.rollup, arrival: now, maxT: now, collect: s.alerts.active()}
+		g := in.rollup.ingester(now, s.alerts.active())
 		for i := range recs {
-			if recs[i].enc != nil {
-				g.encoded(recs[i].enc)
-			} else {
-				g.tree(recs[i].node)
-			}
+			g.encoded(recs[i].enc)
 		}
 		if len(g.keys) > 0 {
 			s.alerts.evaluate(ns, in.rollup, g.keys, g.maxT)
 		}
+		in.rollup.release(g)
 	}
 	s.fanOut(now, ns, recs)
 }
@@ -936,7 +893,7 @@ func (s *Service) PublishBatchCtx(ctx context.Context, entries []conduit.BatchEn
 	for _, e := range entries {
 		frame = conduit.AppendBatchEntry(frame, e.NS, e.Tree)
 	}
-	err := s.publishBatchFrame(ctx, frame, rawBytes)
+	err := s.publishBatchFrame(ctx, frame, rawBytes, false)
 	*bp = frame
 	conduit.PutEncodeBuffer(bp)
 	return err
@@ -1088,7 +1045,7 @@ func (s *Service) Stats() []InstanceStats {
 // RPC surface. Requests and responses are themselves Conduit trees on the
 // wire (the service eats its own data model):
 //
-//	publish req : {ns: string, data: <tree>}
+//	publish req : batch frame of one {ns, tree} entry (see publishOne)
 //	query   req : {ns: string, path: string}  → resp: {data: <tree>}
 //	stats   req : {}                          → resp: {<ns>/{publishes,leaves,...}}
 //	shutdown    : {}                          → resp: {}
@@ -1109,45 +1066,36 @@ func envelopeNS(req *conduit.Node) (Namespace, error) {
 	return ns, nil
 }
 
+// handlePublish serves soma.publish: the payload is a batch frame of one
+// entry, ingested (or forwarded, when clustered) without decoding.
 func (s *Service) handlePublish(ctx context.Context, payload []byte) ([]byte, error) {
 	// The handler span joins the client's trace (mercury rebuilt the trace
 	// context from the frame header); the stripe append below becomes its
 	// child.
 	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.handler")
 	defer sp.End()
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := req.Get("data")
-	if !ok {
-		return nil, fmt.Errorf("soma: publish missing data")
-	}
-	if err := s.PublishCtx(ctx, ns, data, len(payload)); err != nil {
+	if err := s.publishOne(ctx, payload, len(payload), true); err != nil {
 		return nil, err
 	}
 	return okFrame, nil
 }
 
 // handlePublishBatch serves soma.publish.batch: the payload is a conduit
-// batch frame (no {ns, data} envelope per entry — the namespace rides in
-// the batch entry itself), ingested without decoding; see publishBatchFrame.
+// batch frame (the namespace rides in each entry), ingested without
+// decoding; see publishBatchFrame.
 func (s *Service) handlePublishBatch(ctx context.Context, payload []byte) ([]byte, error) {
 	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.batch.handler")
 	defer sp.End()
-	if err := s.publishBatchFrame(ctx, payload, len(payload)); err != nil {
+	if err := s.publishBatchFrame(ctx, payload, len(payload), false); err != nil {
 		return nil, err
 	}
 	return okFrame, nil
 }
 
-// publishBatchFrame is the one batch ingest path, and it never builds a
-// publish tree. Every entry's framing, namespace, and tree structure is
-// verified up front, so a batch is applied atomically or rejected whole — a
+// publishBatchFrame is the one ingest path — batches, and single publishes
+// as frames of one entry (publishOne) — and it never builds a publish tree.
+// Every entry's framing, namespace, and tree structure is verified up
+// front, so a batch is applied atomically or rejected whole — a
 // half-applied batch would leave the client's Published() accounting
 // unreconcilable. Then one private copy of the frame is retained, and each
 // consecutive same-namespace run of entry subslices is appended as raw
@@ -1156,7 +1104,11 @@ func (s *Service) handlePublishBatch(ctx context.Context, payload []byte) ([]byt
 // snapshot rebuild folds the bytes into its accumulator and history reads
 // decode on demand. rawBytes is split evenly across entries for
 // per-instance accounting; the remainder is charged to the first run.
-func (s *Service) publishBatchFrame(ctx context.Context, frame []byte, rawBytes int) error {
+//
+// single marks a single publish (publishOne): the frame must hold exactly
+// one entry, recorded as core.publish.latency and span core.stripe.append
+// instead of the batch pair.
+func (s *Service) publishBatchFrame(ctx context.Context, frame []byte, rawBytes int, single bool) error {
 	if s.Stopped() {
 		return ErrServiceStopped
 	}
@@ -1173,12 +1125,21 @@ func (s *Service) publishBatchFrame(ctx context.Context, frame []byte, rawBytes 
 	}); err != nil {
 		return err
 	}
+	if single && count != 1 {
+		return fmt.Errorf("%w (got %d)", ErrNotSinglePublish, count)
+	}
 	if count == 0 {
 		return nil
 	}
+	span, latency := "core.stripe.append.batch", telBatchLatency
+	if single {
+		span, latency = "core.stripe.append", telPubLatency
+	}
 	now := s.cfg.Clock.Now()
 	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append.batch", start)
+	// The span shares the histogram's two clock reads, so tracing adds no
+	// extra time.Now on this hot path (see make telemetry-overhead).
+	sp := telemetry.LeafSpanAt(ctx, span, start)
 	sp.SetCount(int64(count))
 	tid := sp.Context().TraceID
 	// Records and subscribers outlive the engine's pooled request buffer:
@@ -1214,8 +1175,12 @@ func (s *Service) publishBatchFrame(ctx context.Context, frame []byte, rawBytes 
 	})
 	emit()
 	end := time.Now()
-	telBatchLatency.ObserveTrace(end.Sub(start), tid)
-	telBatchFrames.Inc()
+	// ObserveTrace stamps the latency bucket with this trace id, so a p99
+	// exemplar in soma.telemetry links straight to a kept trace.
+	latency.ObserveTrace(end.Sub(start), tid)
+	if !single {
+		telBatchFrames.Inc()
+	}
 	telPublishes.Add(int64(count))
 	sp.EndAt(end)
 	return nil

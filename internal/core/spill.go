@@ -119,7 +119,7 @@ func (co *coalescer) redeliver() {
 	head := co.spill.frames[0]
 	co.mu.Unlock()
 
-	err := co.c.sendBatch(head.frame, head.leaves)
+	err := co.c.send(RPCPublishBatch, "soma.client.publish.batch", head.frame, head.leaves)
 
 	co.mu.Lock()
 	defer co.mu.Unlock()

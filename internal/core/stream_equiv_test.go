@@ -193,6 +193,31 @@ func TestAlertEvaluateNoAlloc(t *testing.T) {
 	}
 }
 
+// Re-publishing a warm single-leaf series must not allocate in the stream
+// stage: the rollup walk, timestamp-split and key buffers carry over from
+// one run to the next, and re-judging a seen key is allocation-free.
+func TestStreamRunOfOneNoAlloc(t *testing.T) {
+	svc := NewService(ServiceConfig{})
+	defer svc.Close()
+	if err := svc.SetAlert(AlertRule{Name: "hot", NS: NSHardware, Pattern: "PROC/*/CPU Util", Op: ">", Threshold: 1e18, WindowSec: 1}); err != nil {
+		t.Fatal(err)
+	}
+	in := svc.instances[NSHardware]
+	n := conduit.NewNode()
+	// The timestamp segment mid-path makes the key split use its scratch.
+	n.SetFloat("PROC/cn0001/12.5/CPU Util", 40)
+	recs := []record{{enc: n.EncodeBinary()}}
+	svc.stream(12.5, NSHardware, in, recs)
+	if allocs := testing.AllocsPerRun(200, func() {
+		svc.stream(12.5, NSHardware, in, recs)
+	}); allocs != 0 {
+		t.Fatalf("a warm run of one allocated %.1f times", allocs)
+	}
+	if keys, _ := svc.SeriesKeys(NSHardware, ""); len(keys) != 1 || keys[0] != "PROC/cn0001/CPU Util" {
+		t.Fatalf("series keys %q, want the one timestamp-folded key", keys)
+	}
+}
+
 // A rule with a NaN or infinite threshold or window is refused in-process
 // and over the wire: a NaN threshold never fires and a NaN window would
 // read the whole ring.
@@ -256,7 +281,8 @@ type streamOutcome struct {
 	series         []Series
 	rules          []AlertRule
 	states         []AlertState
-	updates        []string
+	updates        []string // publish updates, then alert transitions, per frame
+	pubUpdates     []string // the publish updates alone
 	stats          []InstanceStats
 }
 
@@ -297,10 +323,26 @@ func observeStream(t *testing.T, svc *Service) streamOutcome {
 	return out
 }
 
+// Ingest routes TestStreamBatchWireMatchesPublishBatchCtx drives.
+const (
+	routeWire      = iota // handlePublishBatch, one frame per batch
+	routeCtx              // DecodeBatch + PublishBatchCtx
+	routeWireSplit        // handlePublishBatch, one frame per entry
+	routeClient           // sync Client.Publish over TCP (soma.publish)
+	routeService          // in-process Service.Publish
+	routeEncoded          // unbatched Client.PublishEncoded over TCP
+)
+
 // The same batches sent as wire frames and handed to PublishBatchCtx as
 // decoded trees must leave identical queries, series, alert standings,
 // history and subscriber updates — including an entry that repeats a
-// sibling name, which the byte walk hands to the decoding fallback.
+// sibling name, which the byte walk hands to the decoding fallback. The
+// same entries sent one by one as single publishes — over soma.publish,
+// in-process, and as pre-encoded bytes that carry the duplicate-name entry
+// verbatim — must leave the same queries, series, history and publish
+// updates. A batch judges its alert rules once per same-namespace run, so
+// the single routes' standings and alert transitions are held to the batch
+// path sending one entry per frame.
 func TestStreamBatchWireMatchesPublishBatchCtx(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var frames [][]byte
@@ -335,10 +377,19 @@ func TestStreamBatchWireMatchesPublishBatchCtx(t *testing.T) {
 		frames = append(frames, frame)
 	}
 
-	run := func(viaWire bool) streamOutcome {
+	run := func(route int) streamOutcome {
 		clk := &fakeClock{}
 		svc := NewService(ServiceConfig{Clock: clk})
 		defer svc.Close()
+		addr, err := svc.Listen("tcp://127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := Connect(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
 		for _, r := range []AlertRule{
 			{Name: "hot", NS: NSHardware, Pattern: "PROC/*/s0*", Op: ">", Threshold: 60, WindowSec: 2},
 			{Name: "hot-glob", NS: NSHardware, Pattern: "PROC/**", Op: ">", Threshold: 70, WindowSec: 1},
@@ -358,62 +409,85 @@ func TestStreamBatchWireMatchesPublishBatchCtx(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cancelA()
-		var got []string
-		drain := func() []string {
+		var got, pubs []string
+		drain := func(ch <-chan zmq.Message) []string {
 			var out []string
-			for _, ch := range []<-chan zmq.Message{updates, alerts} {
-				for more := true; more; {
-					select {
-					case m := <-ch:
-						u, err := DecodeUpdate(m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						out = append(out, fmt.Sprintf("%s %v %v %x", u.NS, u.Time, u.Alert, u.Tree.EncodeBinary()))
-					default:
-						more = false
+			for more := true; more; {
+				select {
+				case m := <-ch:
+					u, err := DecodeUpdate(m)
+					if err != nil {
+						t.Fatal(err)
 					}
+					out = append(out, fmt.Sprintf("%s %v %v %x", u.NS, u.Time, u.Alert, u.Tree.EncodeBinary()))
+				default:
+					more = false
 				}
 			}
-			// Alert transitions of different rules in one evaluation come
-			// out in rule-map order; compare them as a set per frame.
-			sort.Strings(out)
 			return out
 		}
 		for f, frame := range frames {
 			clk.set(float64(f) * 0.7)
-			if viaWire {
-				if _, err := svc.handlePublishBatch(context.Background(), frame); err != nil {
-					t.Fatal(err)
+			var err error
+			switch route {
+			case routeWire:
+				_, err = svc.handlePublishBatch(context.Background(), frame)
+			case routeCtx:
+				var entries []conduit.BatchEntry
+				if entries, err = conduit.DecodeBatch(frame); err == nil {
+					err = svc.PublishBatchCtx(context.Background(), entries, len(frame))
 				}
-			} else {
-				entries, err := conduit.DecodeBatch(frame)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := svc.PublishBatchCtx(context.Background(), entries, len(frame)); err != nil {
-					t.Fatal(err)
-				}
+			default:
+				err = conduit.ForEachBatchEntry(frame, func(nsb, enc []byte) error {
+					ns := Namespace(nsb)
+					tree, err := conduit.DecodeBinary(enc)
+					if err != nil {
+						return err
+					}
+					switch route {
+					case routeWireSplit:
+						_, err = svc.handlePublishBatch(context.Background(),
+							conduit.AppendBatchEntryEncoded(conduit.AppendBatchHeader(nil), string(ns), enc))
+					case routeClient:
+						err = client.Publish(ns, tree)
+					case routeService:
+						err = svc.Publish(ns, tree, len(enc))
+					case routeEncoded:
+						err = client.PublishEncoded(ns, enc)
+					}
+					return err
+				})
 			}
-			got = append(got, drain()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			framePubs := drain(updates)
+			// Alert transitions of different rules in one evaluation come
+			// out in rule-map order; compare them as a set per frame.
+			frameAll := append(append([]string(nil), framePubs...), drain(alerts)...)
+			sort.Strings(frameAll)
+			got = append(got, frameAll...)
+			pubs = append(pubs, framePubs...)
 		}
 		out := observeStream(t, svc)
-		out.updates = got
+		out.updates, out.pubUpdates = got, pubs
 		return out
 	}
-	wire, ctx := run(true), run(false)
+	wire, ctx, split := run(routeWire), run(routeCtx), run(routeWireSplit)
 	if len(wire.updates) == 0 || len(wire.states) == 0 || len(wire.keys) == 0 {
 		t.Fatalf("batches left nothing to compare: %d updates, %d standings, %d series",
 			len(wire.updates), len(wire.states), len(wire.keys))
 	}
-	firing := 0
-	for _, st := range wire.states {
-		if st.Firing {
-			firing++
+	for _, o := range []streamOutcome{wire, split} {
+		firing := 0
+		for _, st := range o.states {
+			if st.Firing {
+				firing++
+			}
 		}
-	}
-	if firing == 0 {
-		t.Fatal("no standing fired; the comparison would not cover transitions")
+		if firing == 0 {
+			t.Fatal("no standing fired; the comparison would not cover transitions")
+		}
 	}
 	for _, c := range []struct {
 		name      string
@@ -430,6 +504,43 @@ func TestStreamBatchWireMatchesPublishBatchCtx(t *testing.T) {
 	} {
 		if !reflect.DeepEqual(c.wire, c.ctx) {
 			t.Errorf("%s differ between wire frames and PublishBatchCtx:\nwire %v\nctx  %v", c.name, c.wire, c.ctx)
+		}
+	}
+	// Byte accounting follows each route's framing; every other stat must
+	// agree.
+	noBytes := func(stats []InstanceStats) []InstanceStats {
+		out := append([]InstanceStats(nil), stats...)
+		for i := range out {
+			out[i].BytesIn = 0
+		}
+		return out
+	}
+	for _, r := range []struct {
+		name  string
+		route int
+	}{
+		{"Client.Publish", routeClient},
+		{"Service.Publish", routeService},
+		{"Client.PublishEncoded", routeEncoded},
+	} {
+		single := run(r.route)
+		for _, c := range []struct {
+			name       string
+			want, have interface{}
+		}{
+			{"query", wire.query, single.query},
+			{"history", wire.history, single.history},
+			{"series keys", wire.keys, single.keys},
+			{"series", wire.series, single.series},
+			{"rules", wire.rules, single.rules},
+			{"publish updates", wire.pubUpdates, single.pubUpdates},
+			{"stats", noBytes(wire.stats), noBytes(single.stats)},
+			{"standings", split.states, single.states},
+			{"updates", split.updates, single.updates},
+		} {
+			if !reflect.DeepEqual(c.want, c.have) {
+				t.Errorf("%s: %s differ from the batch path:\nwant %v\nhave %v", r.name, c.name, c.want, c.have)
+			}
 		}
 	}
 	// The duplicate-name entry reads as its merged tree on both paths.

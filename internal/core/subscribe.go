@@ -34,8 +34,7 @@ const UpdatesBusName = "soma.updates"
 
 // telPushLatency tracks bus fan-out cost per fanned-out run — a single
 // publish, or one same-namespace run of a batch (enqueue to every
-// subscriber, plus the encode of a single publish's tree), observed only
-// when subscribers exist.
+// subscriber), observed only when subscribers exist.
 var telPushLatency = telemetry.Default().Histogram("core.stream.push.latency")
 
 // topicPrefix maps a subscription target onto a bus topic prefix: "" = all
@@ -62,9 +61,9 @@ type updateWire struct {
 
 // fanOut pushes a run of ingested publishes onto the update bus. Called on
 // the ingest path after the stripe append; returns immediately when nobody
-// subscribes. A batch record's Data is its entry's subslice of the retained
-// frame copy, shared with the record and never written, so only a single
-// publish's tree is encoded here.
+// subscribes. Each update's Data is its record's bytes — a subslice of the
+// retained frame copy, shared with the record and never written — so
+// nothing is encoded here.
 func (s *Service) fanOut(now float64, ns Namespace, recs []record) {
 	if s.bus == nil || s.bus.Subscribers() == 0 {
 		return
@@ -72,11 +71,7 @@ func (s *Service) fanOut(now float64, ns Namespace, recs []record) {
 	start := time.Now()
 	topic := "ns/" + string(ns) + "/"
 	for i := range recs {
-		enc := recs[i].enc
-		if enc == nil {
-			enc = recs[i].node.EncodeBinary()
-		}
-		s.bus.Publish(topic, updateWire{NS: string(ns), T: now, Data: enc})
+		s.bus.Publish(topic, updateWire{NS: string(ns), T: now, Data: recs[i].enc})
 	}
 	telPushLatency.ObserveSince(start)
 }
